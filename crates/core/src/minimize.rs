@@ -1,10 +1,13 @@
 //! End-to-end exact SPP minimization (Algorithm 2).
 
+use std::time::Instant;
+
 use spp_boolfn::BoolFn;
 use spp_cover::{solve_auto_warm, CoverProblem, CoverSolution};
 use spp_obs::{Event, Fault, Outcome, Phase, RunCtx, Rung};
 
-use crate::{GenLimits, GenStats, Grouping, Pseudocube, SppCache, SppForm};
+use crate::runner::sp_backstop;
+use crate::{EpppSet, GenLimits, GenStats, Grouping, Pseudocube, SppCache, SppForm};
 
 /// Configuration of the SPP minimizers.
 ///
@@ -123,7 +126,7 @@ pub(crate) fn exact_session_cached(
             return hit;
         }
     }
-    let gen_start = std::time::Instant::now();
+    let gen_start = Instant::now();
     ctx.emit(Event::PhaseStarted { phase: Phase::Generate });
     let cached_eppp =
         cache.and_then(|c| c.get_eppp(f, options.grouping, 0, ctx));
@@ -158,14 +161,40 @@ pub(crate) fn exact_session_cached(
             set
         }
     };
-    let mut outcome = eppp.stats.outcome;
+    let result = cover_phase(f, eppp, gen_start, options, ctx, cache, |_| {});
+    if let Some(cache) = cache {
+        // Only proved-optimal results are inserted (put_result re-verifies
+        // the form against `f` before storing).
+        cache.put_result(f, options, &result, ctx);
+    }
+    result
+}
+
+/// Algorithm 2 step 3 on a generated candidate set: closes the
+/// generation phase, solves the minimum-literal covering, and assembles
+/// the result on the exact rung. `widen` may add candidates the
+/// generator's filter left out. With a cache, a sibling result (same
+/// function, different options) warm-starts the covering search.
+///
+/// A truncated run may have lost the high-degree pseudoproducts the
+/// minimum needs. Cubes are pseudoproducts, so folding in the SP prime
+/// implicants — and, since junk-heavy truncated pools can mislead the
+/// greedy cover, never returning worse than the SP backstop — keeps the
+/// guarantee that an SPP form is never worse than the SP form ("in the
+/// worst case, SP and SPP forms coincide" — paper §1) even under a
+/// budget.
+pub(crate) fn cover_phase(
+    f: &BoolFn,
+    eppp: EpppSet,
+    gen_start: Instant,
+    options: &SppOptions,
+    ctx: &RunCtx,
+    cache: Option<&SppCache>,
+    widen: impl FnOnce(&mut Vec<Pseudocube>),
+) -> SppMinResult {
+    let truncated = eppp.stats.truncated;
     let mut candidates = eppp.pseudocubes;
-    if eppp.stats.truncated {
-        // A truncated run may have lost the high-degree pseudoproducts the
-        // minimum needs. Cubes are pseudoproducts, so folding in the SP
-        // prime implicants keeps the guarantee that an SPP form is never
-        // worse than the SP form ("in the worst case, SP and SPP forms
-        // coincide" — paper §1) even under a budget.
+    if truncated {
         let known: std::collections::HashSet<&Pseudocube> = candidates.iter().collect();
         let extra: Vec<Pseudocube> = spp_sp::prime_implicants(f)
             .iter()
@@ -174,17 +203,15 @@ pub(crate) fn exact_session_cached(
             .collect();
         candidates.extend(extra);
     }
+    widen(&mut candidates);
     let gen_elapsed = gen_start.elapsed();
     ctx.emit(Event::PhaseFinished {
         phase: Phase::Generate,
         wall: gen_elapsed,
         outcome: eppp.stats.outcome,
     });
-    let cover_start = std::time::Instant::now();
+    let cover_start = Instant::now();
     ctx.emit(Event::PhaseStarted { phase: Phase::Cover });
-    // A result for the same function under *different* options (say,
-    // different covering budgets) can't answer this key, but its terms are
-    // a known cover — seed the branch & bound with them.
     let warm_terms = cache.and_then(|c| c.warm_form(f));
     let (mut form, cover_optimal, cover_outcome) = cover_with_candidates_warm(
         f,
@@ -195,16 +222,11 @@ pub(crate) fn exact_session_cached(
         warm_terms.as_deref(),
         cache,
     );
-    outcome = outcome.merge(cover_outcome);
-    if eppp.stats.truncated {
-        // Junk-heavy truncated pools can mislead the greedy cover; the SP
-        // minimum is always a valid SPP form, so never return worse.
-        let sp = spp_sp::minimize_sp(f, &options.cover_limits);
-        if sp.form.literal_count() < form.literal_count() {
-            form = SppForm::new(
-                f.num_vars(),
-                sp.form.cubes().iter().map(Pseudocube::from_cube).collect(),
-            );
+    let outcome = eppp.stats.outcome.merge(cover_outcome);
+    if truncated {
+        let sp = sp_backstop(f, &options.cover_limits);
+        if sp.literal_count() < form.literal_count() {
+            form = sp;
         }
     }
     let cover_elapsed = cover_start.elapsed();
@@ -213,23 +235,17 @@ pub(crate) fn exact_session_cached(
         wall: cover_elapsed,
         outcome: cover_outcome,
     });
-    let result = SppMinResult {
+    SppMinResult {
         form,
         num_candidates: candidates.len(),
-        optimal: cover_optimal && !eppp.stats.truncated && outcome.is_completed(),
+        optimal: cover_optimal && !truncated && outcome.is_completed(),
         gen_stats: eppp.stats,
         gen_elapsed,
         cover_elapsed,
         outcome,
         rung: Rung::Exact,
         faults: ctx.faults(),
-    };
-    if let Some(cache) = cache {
-        // Only proved-optimal results are inserted (put_result re-verifies
-        // the form against `f` before storing).
-        cache.put_result(f, options, &result, ctx);
     }
-    result
 }
 
 /// Solves the minimum-literal covering of `f`'s ON-set by the given

@@ -10,28 +10,34 @@
 //! returns a [`PortfolioResult`] naming the winner plus a
 //! [`PortfolioReport`] per entrant.
 //!
-//! The race generalizes the resource-governed *rung* ladder
-//! ([`Minimizer::run_governed`]) from one form's fallbacks to many forms'
-//! championships: each form gets a governor reset (so one entrant's
-//! memory spike cannot disqualify the next), a form that ends in
-//! [`Outcome::MemoryExceeded`] or fails verification is excluded from
-//! the race, and — exactly like the ladder's bottom rung — a plain SOP
-//! cover backstops the portfolio when every requested entrant is
-//! excluded. Forms always run in the fixed [`Form::ALL`] order and ties
-//! break toward the earlier form, so for completed races the winner and
-//! its cost are bit-identical at any thread count.
+//! The race and the resource-governed *rung* ladder
+//! ([`Minimizer::run_governed`]) are one entrant runner with two
+//! policies: the ladder takes the first accepted rung, the race the
+//! cheapest accepted form. Either way each entrant gets a governor reset
+//! (so one entrant's memory spike cannot disqualify the next), an entrant
+//! that ends in [`Outcome::MemoryExceeded`] or fails verification is not
+//! accepted, and one SP backstop — a plain SOP cover here, the ladder's
+//! bottom rung there — answers when no entrant is accepted. Forms always
+//! run in the fixed [`Form::ALL`] order and ties break toward the earlier
+//! form, so for completed races the winner and its cost are
+//! bit-identical at any thread count.
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use spp_boolfn::BoolFn;
 use spp_dsop::DsopForm;
 use spp_esop::{EsopForm, EsopLimits};
-use spp_obs::{Event, Form, Outcome, Rung};
-use spp_sp::SpForm;
+use spp_obs::{Form, Outcome, Rung};
+use spp_sp::{SpForm, SpMinResult};
 
+use crate::runner::{Answer, Policy};
 use crate::session::Minimizer;
 use crate::SppForm;
+
+/// The widest function the cube-form engines take: ESOP minimization and
+/// every cube form's verification expand the truth table.
+pub(crate) const CUBE_FORM_MAX_INPUTS: usize = 24;
 
 /// What the race minimizes.
 ///
@@ -301,17 +307,20 @@ impl Minimizer<'_> {
     /// Races the configured forms and returns the cheapest *verified*
     /// realization under the portfolio's objective.
     ///
-    /// All entrants share this session's deadline, cancellation token and
-    /// memory budget; the byte account is reset before each form (like
-    /// the rung ladder) so one entrant's spike cannot disqualify the
-    /// next. Entrants run in [`Form::ALL`] order, each result is
-    /// verified against `f` under its own form semantics, and ties break
-    /// toward the earlier form — so a completed race returns the same
-    /// winner and cost at any thread count. [`Event::FormStarted`] /
-    /// [`Event::FormFinished`] trace the race; if every requested
-    /// entrant is excluded (memory-exceeded or unverified), a plain SOP
-    /// cover backstops the result exactly like the governed ladder's
-    /// bottom rung.
+    /// This is the entrant runner behind [`run_governed`](Self::run_governed)
+    /// with the *cheapest* policy in place of the ladder's
+    /// *first-accepted* one. All entrants share this session's deadline,
+    /// cancellation token and memory budget; the byte account is reset
+    /// before each form (like the rung ladder) so one entrant's spike
+    /// cannot disqualify the next. Entrants run in [`Form::ALL`] order,
+    /// each result is verified against `f` under its own form semantics,
+    /// and ties break toward the earlier form — so a completed race
+    /// returns the same winner and cost at any thread count.
+    /// [`Event::FormStarted`](spp_obs::Event::FormStarted) /
+    /// [`Event::FormFinished`](spp_obs::Event::FormFinished) trace the race;
+    /// if every requested entrant is excluded (memory-exceeded or
+    /// unverified), the runner's SP backstop answers with a plain SOP
+    /// cover, as the ladder's bottom rung does.
     ///
     /// ESOP, DSOP and SOP results of *complete* runs are cached per form
     /// when the session has a cache, so re-racing a function warms every
@@ -335,152 +344,118 @@ impl Minimizer<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `f.num_vars() > 24` (the cube engines expand minterms).
+    /// Panics if `f.num_vars() > 24` and the race includes a cube form
+    /// (ESOP, DSOP or SOP): those engines and their verification expand
+    /// the truth table. [`crate::execute_fns`] answers such a request
+    /// with a typed error instead.
     #[must_use]
     pub fn run_portfolio(&self, portfolio: &FormPortfolio) -> PortfolioResult {
         let objective = portfolio.cost_objective();
-        let mut reports = Vec::new();
-        let mut best: Option<(FormRealization, u64, bool, Outcome, Rung)> = None;
-        for form in portfolio.entrants() {
-            self.ctx.governor().reset();
-            self.ctx.emit(Event::FormStarted { form });
-            let start = Instant::now();
-            let (realization, optimal, outcome, rung) = self.run_form(form);
-            let verified = realization.realizes(self.f);
-            let accepted = verified && outcome != Outcome::MemoryExceeded;
-            let cost = verified.then(|| realization.cost(objective));
-            self.ctx.emit(Event::FormFinished { form, outcome, cost, accepted });
-            reports.push(PortfolioReport {
-                form,
-                outcome,
-                cost,
-                wall: start.elapsed(),
-                accepted,
-            });
-            if accepted {
-                let c = cost.unwrap_or(u64::MAX);
-                // Strict `<`: ties stay with the earlier (canonical-order)
-                // form, which pins the winner at any thread count.
-                if best.as_ref().is_none_or(|(_, bc, _, _, _)| c < *bc) {
-                    best = Some((realization, c, optimal, outcome, rung));
-                }
-            }
-        }
-        if let Some((realization, cost, optimal, outcome, rung)) = best {
-            return PortfolioResult {
-                winner: realization.form(),
-                realization,
-                cost,
-                optimal,
-                outcome,
-                rung,
-                reports,
-            };
-        }
-        // Backstop: every entrant was excluded. A plain SP cover needs no
-        // pseudocube generation and is always a valid realization —
-        // identical in spirit to the governed ladder's bottom rung.
-        self.ctx.governor().reset();
-        self.ctx.emit(Event::FormStarted { form: Form::Sop });
-        let start = Instant::now();
-        let sp = spp_sp::minimize_sp(self.f, &self.options.cover_limits);
-        let outcome = self.ctx.stop_reason().unwrap_or_default();
-        let realization = FormRealization::Sop(sp.form);
-        let cost = realization.cost(objective);
-        self.ctx.emit(Event::FormFinished {
-            form: Form::Sop,
-            outcome,
-            cost: Some(cost),
-            accepted: true,
-        });
-        reports.push(PortfolioReport {
-            form: Form::Sop,
-            outcome,
-            cost: Some(cost),
-            wall: start.elapsed(),
-            accepted: true,
-        });
+        let cost = |answer: &FormAnswer| answer.realization.cost(objective);
+        let (best, laps) = self.run_entrants(
+            portfolio.entrants(),
+            Policy::Cheapest(&cost),
+            |form| Some(self.run_form(form)),
+        );
         PortfolioResult {
-            winner: Form::Sop,
-            realization,
-            cost,
-            // The backstop never proves optimality (and a *governed* SOP
-            // entrant that lost verification would not have either).
-            optimal: false,
-            outcome,
-            rung: Rung::Sop,
-            reports,
+            winner: best.realization.form(),
+            cost: cost(&best),
+            realization: best.realization,
+            optimal: best.optimal,
+            outcome: best.outcome,
+            rung: best.rung,
+            reports: laps
+                .into_iter()
+                .map(|lap| PortfolioReport {
+                    form: lap.entrant,
+                    outcome: lap.outcome,
+                    cost: lap.cost,
+                    wall: lap.wall,
+                    accepted: lap.accepted,
+                })
+                .collect(),
         }
     }
 
-    /// Runs one entrant, going through the per-form cache for the cube
-    /// forms (SPP results already flow through the result/EPPP caches
-    /// inside the rung ladder). Returns the realization, whether
-    /// optimality was proved, the outcome, and the rung the entrant
-    /// corresponds to on the degradation ladder.
-    fn run_form(&self, form: Form) -> (FormRealization, bool, Outcome, Rung) {
-        let cube_rung = |optimal| if optimal { Rung::Exact } else { Rung::Heuristic };
-        match form {
-            Form::Spp => {
-                let r = self.run_governed();
-                (FormRealization::Spp(r.form), r.optimal, r.outcome, r.rung)
-            }
-            Form::Esop => {
-                if let Some((cubes, optimal)) = self.cached_cubes(Form::Esop) {
-                    let form = EsopForm::new(self.f.num_vars(), cubes);
-                    let rung = cube_rung(optimal);
-                    return (FormRealization::Esop(form), optimal, Outcome::Completed, rung);
-                }
-                let r = spp_esop::minimize_esop(self.f, &EsopLimits::default(), &self.ctx);
-                self.store_cubes(Form::Esop, r.form.cubes(), r.optimal, r.outcome);
-                let rung = cube_rung(r.optimal);
-                (FormRealization::Esop(r.form), r.optimal, r.outcome, rung)
-            }
-            Form::Dsop => {
-                if let Some((cubes, optimal)) = self.cached_cubes(Form::Dsop) {
-                    let form = DsopForm::new(self.f.num_vars(), cubes);
-                    let rung = cube_rung(optimal);
-                    return (FormRealization::Dsop(form), optimal, Outcome::Completed, rung);
-                }
-                let r =
-                    spp_dsop::minimize_dsop(self.f, &self.options.cover_limits, &self.ctx);
-                self.store_cubes(Form::Dsop, r.form.cubes(), r.optimal, r.outcome);
-                let rung = cube_rung(r.optimal);
-                (FormRealization::Dsop(r.form), r.optimal, r.outcome, rung)
-            }
-            Form::Sop => {
-                if let Some((cubes, optimal)) = self.cached_cubes(Form::Sop) {
-                    let form = SpForm::new(self.f.num_vars(), cubes);
-                    return (FormRealization::Sop(form), optimal, Outcome::Completed, Rung::Sop);
-                }
-                let sp = spp_sp::minimize_sp(self.f, &self.options.cover_limits);
-                let outcome = self.ctx.stop_reason().unwrap_or_default();
-                self.store_cubes(Form::Sop, sp.form.cubes(), sp.optimal, outcome);
-                (FormRealization::Sop(sp.form), sp.optimal, outcome, Rung::Sop)
-            }
+    /// Runs one entrant. SPP runs the governed rung ladder (its results
+    /// flow through the result and EPPP caches there); the cube forms go
+    /// through the per-form cache, and a *complete* run's cubes are
+    /// inserted into it. Partial (deadline- or cancel-truncated) results
+    /// are budget-dependent best-so-far data and are never stored.
+    fn run_form(&self, form: Form) -> FormAnswer {
+        if form == Form::Spp {
+            let r = self.run_governed();
+            let (optimal, outcome, rung) = (r.optimal, r.outcome, r.rung);
+            return FormAnswer { realization: FormRealization::Spp(r.form), optimal, outcome, rung };
         }
+        let cache = self.cache.as_ref();
+        let cached = cache.and_then(|c| c.get_form_cubes(self.f, form, &self.options, &self.ctx));
+        let (cubes, optimal, outcome) = match cached {
+            Some((cubes, optimal)) => (cubes, optimal, Outcome::Completed),
+            None => {
+                let (cubes, optimal, outcome) = match form {
+                    Form::Esop => {
+                        let r = spp_esop::minimize_esop(self.f, &EsopLimits::default(), &self.ctx);
+                        (r.form.cubes().to_vec(), r.optimal, r.outcome)
+                    }
+                    Form::Dsop => {
+                        let r =
+                            spp_dsop::minimize_dsop(self.f, &self.options.cover_limits, &self.ctx);
+                        (r.form.cubes().to_vec(), r.optimal, r.outcome)
+                    }
+                    _ => {
+                        let (sp, outcome) = self.sop();
+                        (sp.form.cubes().to_vec(), sp.optimal, outcome)
+                    }
+                };
+                if let Some(cache) = cache.filter(|_| outcome == Outcome::Completed) {
+                    cache.put_form_cubes(self.f, form, &self.options, &cubes, optimal, &self.ctx);
+                }
+                (cubes, optimal, outcome)
+            }
+        };
+        let n = self.f.num_vars();
+        let cube_rung = if optimal { Rung::Exact } else { Rung::Heuristic };
+        let (realization, rung) = match form {
+            Form::Esop => (FormRealization::Esop(EsopForm::new(n, cubes)), cube_rung),
+            Form::Dsop => (FormRealization::Dsop(DsopForm::new(n, cubes)), cube_rung),
+            _ => (FormRealization::Sop(SpForm::new(n, cubes)), Rung::Sop),
+        };
+        FormAnswer { realization, optimal, outcome, rung }
     }
 
-    fn cached_cubes(&self, form: Form) -> Option<(Vec<spp_boolfn::Cube>, bool)> {
-        self.cache.as_ref()?.get_form_cubes(self.f, form, &self.options, &self.ctx)
+    /// The SP minimum of `f` and the session's stop reason after it: the
+    /// SOP entrant and the race's backstop.
+    fn sop(&self) -> (SpMinResult, Outcome) {
+        let sp = spp_sp::minimize_sp(self.f, &self.options.cover_limits);
+        (sp, self.ctx.stop_reason().unwrap_or_default())
+    }
+}
+
+/// A realization with its run verdict: what one race entrant, or one
+/// output of a request, answered.
+pub(crate) struct FormAnswer {
+    pub(crate) realization: FormRealization,
+    pub(crate) optimal: bool,
+    pub(crate) outcome: Outcome,
+    pub(crate) rung: Rung,
+}
+
+impl Answer for FormAnswer {
+    fn outcome(&self) -> Outcome {
+        self.outcome
     }
 
-    /// Inserts a *complete* run's cubes into the per-form cache. Partial
-    /// (deadline- or cancel-truncated) results are budget-dependent
-    /// best-so-far data and are never stored.
-    fn store_cubes(
-        &self,
-        form: Form,
-        cubes: &[spp_boolfn::Cube],
-        optimal: bool,
-        outcome: Outcome,
-    ) {
-        if outcome != Outcome::Completed {
-            return;
-        }
-        if let Some(cache) = &self.cache {
-            cache.put_form_cubes(self.f, form, &self.options, cubes, optimal, &self.ctx);
-        }
+    fn realizes(&self, f: &BoolFn) -> bool {
+        self.realization.realizes(f)
+    }
+
+    fn backstop(m: &Minimizer<'_>) -> Self {
+        let (sp, outcome) = m.sop();
+        // The backstop never proves optimality (and a *governed* SOP
+        // entrant that lost verification would not have either).
+        let realization = FormRealization::Sop(sp.form);
+        FormAnswer { realization, optimal: false, outcome, rung: Rung::Sop }
     }
 }
 

@@ -21,11 +21,14 @@ use std::time::{Duration, Instant};
 
 use spp_boolfn::BoolFn;
 use spp_obs::json::Json;
-use spp_obs::{CancelToken, EventSink, Form, Outcome, Rung};
+use spp_obs::{CancelToken, EventSink, Form, Outcome, RunCtx, Rung};
+use spp_par::Parallelism;
 
+use crate::portfolio::{FormAnswer, CUBE_FORM_MAX_INPUTS};
+use crate::runner::sp_backstop;
 use crate::{
     FormPortfolio, FormRealization, Grouping, Minimizer, MultiMinimizer, Objective,
-    PortfolioReport, Pseudocube, SppCache, SppError, SppForm, SppOptions,
+    PortfolioReport, SppCache, SppError, SppForm, SppMinResult, SppOptions,
 };
 
 /// Version tag of the request/response JSON schema.
@@ -970,10 +973,11 @@ pub fn execute(req: &MinimizeRequest, env: &ExecEnv) -> Result<Executed, ErrorFr
 /// # Errors
 ///
 /// [`WireErrorKind::BadRequest`] for an empty output list, invalid
-/// algorithm parameters (heuristic `k` / restricted width out of range)
-/// or `multi` combined with a non-exact mode. Run-control stops are NOT
-/// errors: deadline, cancellation and memory pressure produce a verified
-/// best-so-far response with the cause in
+/// algorithm parameters (heuristic `k` / restricted width out of range),
+/// `multi` combined with a non-exact mode, or a portfolio race of a cube
+/// form (ESOP, DSOP, SOP) on a function of more than 24 inputs.
+/// Run-control stops are NOT errors: deadline, cancellation and memory
+/// pressure produce a verified best-so-far response with the cause in
 /// [`MinimizeResponse::outcome`].
 pub fn execute_fns(
     req: &MinimizeRequest,
@@ -981,152 +985,82 @@ pub fn execute_fns(
     labels: &[String],
     env: &ExecEnv,
 ) -> Result<Executed, ErrorFrame> {
-    let fail = |kind, message: String| ErrorFrame { id: Some(req.id.clone()), kind, message };
+    let fail = |message| ErrorFrame::new(WireErrorKind::BadRequest, message).with_id(&req.id);
+    let error = |e: SppError| ErrorFrame::from(e).with_id(&req.id);
+    let shared = req.multi && outputs.len() > 1;
+    let race = req.mode == MinimizeMode::Portfolio;
+    let portfolio = FormPortfolio::new().forms(req.forms.clone()).objective(req.objective);
+    let inputs = outputs.iter().map(BoolFn::num_vars).max().unwrap_or(0);
     if outputs.is_empty() {
-        return Err(fail(WireErrorKind::BadRequest, "the PLA has no outputs".into()));
+        return Err(fail("the PLA has no outputs".into()));
+    } else if shared && req.mode != MinimizeMode::Exact {
+        return Err(fail(format!(
+            "shared multi-output covering requires mode \"exact\" (got {:?})",
+            req.mode.as_str()
+        )));
+    } else if race && inputs > CUBE_FORM_MAX_INPUTS && portfolio.entrants() != [Form::Spp] {
+        return Err(fail(format!(
+            "the esop, dsop and sop forms support at most {CUBE_FORM_MAX_INPUTS} inputs \
+             and this function has {inputs}; race only spp"
+        )));
     }
     let start = Instant::now();
     let deadline = env.effective_deadline(req);
     let (mem_soft, mem_hard) = env.effective_mem(req);
-    let label_of =
-        |j: usize| labels.get(j).cloned().unwrap_or_else(|| format!("y{j}"));
 
+    // The one place a request configures its sessions. Each session gets
+    // a fresh run context (its own byte account and fault journal) under
+    // the request's shared deadline, budgets, cancel token and sink.
+    let mut options = SppOptions::default().with_grouping(req.grouping);
+    if let Some(t) = req.threads.or(env.threads_default) {
+        options.gen_limits.parallelism = Parallelism::fixed(t);
+    }
+    let ctx = || {
+        let mut ctx = RunCtx::default().cap_deadline(deadline);
+        if mem_soft.is_some() || mem_hard.is_some() {
+            ctx = ctx.with_mem_budget(mem_soft, mem_hard);
+        }
+        if let Some(token) = &env.cancel {
+            ctx = ctx.with_cancel(token.clone());
+        }
+        if let Some(sink) = &env.sink {
+            ctx = ctx.with_sink(sink.clone());
+        }
+        ctx
+    };
+    let output_report = |j: usize, realization: &FormRealization| OutputReport {
+        label: labels.get(j).cloned().unwrap_or_else(|| format!("y{j}")),
+        literals: realization.literal_count(),
+        terms: realization.num_terms(),
+        form: realization.to_string(),
+    };
     // A run-control stop (deadline, cancellation, memory) can truncate a
-    // form mid-search. The SP bottom rung is always realizable and needs
-    // no pseudocube generation, so a stopped request still answers with a
+    // form mid-search. The SP backstop is always realizable and needs no
+    // pseudocube generation, so a stopped request still answers with a
     // verified best-so-far form — the drain contract of `spp serve`.
-    fn sop_fallback(f: &BoolFn) -> SppForm {
-        let sp = spp_sp::minimize_sp(f, &SppOptions::default().cover_limits);
-        SppForm::new(
-            f.num_vars(),
-            sp.form.cubes().iter().map(Pseudocube::from_cube).collect(),
-        )
-    }
+    let backstop = |f: &BoolFn| sp_backstop(f, &options.cover_limits);
 
-    fn configure_generic<'f>(
-        m: Minimizer<'f>,
-        req: &MinimizeRequest,
-        env: &ExecEnv,
-        deadline: Option<Instant>,
-        mem_soft: Option<u64>,
-        mem_hard: Option<u64>,
-    ) -> Minimizer<'f> {
-        let mut m = m.grouping(req.grouping);
-        if let Some(t) = req.threads.or(env.threads_default) {
-            m = m.threads(t);
-        }
-        if let Some(at) = deadline {
-            m = m.deadline_at(at);
-        }
-        if mem_soft.is_some() || mem_hard.is_some() {
-            m = m.mem_budget(mem_soft, mem_hard);
-        }
-        if let Some(token) = &env.cancel {
-            m = m.cancel_token(token.clone());
-        }
-        if let Some(sink) = &env.sink {
-            m = m.on_event(sink.clone());
-        }
-        if let Some(cache) = &env.cache {
-            m = m.cache(cache.clone());
-        }
-        m
-    }
-
-    if matches!(req.mode, MinimizeMode::Portfolio) && !(req.multi && outputs.len() > 1) {
-        let portfolio =
-            FormPortfolio::new().forms(req.forms.clone()).objective(req.objective);
-        let mut realizations = Vec::with_capacity(outputs.len());
-        let mut reports = Vec::with_capacity(outputs.len());
-        let mut per_output = Vec::with_capacity(outputs.len());
-        let mut outcome = Outcome::Completed;
-        let mut rung = Rung::Exact;
-        let mut optimal = true;
-        let mut verified = true;
-        for (j, f) in outputs.iter().enumerate() {
-            let r = configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard)
-                .run_portfolio(&portfolio);
-            outcome = outcome.merge(r.outcome);
-            rung = rung.max(r.rung);
-            optimal &= r.optimal;
-            verified &= r.realization.realizes(f);
-            reports.push(OutputReport {
-                label: label_of(j),
-                literals: r.realization.literal_count(),
-                terms: r.realization.num_terms(),
-                form: r.realization.to_string(),
-            });
-            per_output.push(r.reports);
-            realizations.push(r.realization);
-        }
-        let form_reports = aggregate_form_reports(&per_output);
-        // The aggregate winner: cheapest summed cost among forms accepted
-        // for every output; `min_by_key` keeps the first of equal minima,
-        // so ties break toward the canonical-order earlier form.
-        let winner = form_reports
-            .iter()
-            .filter(|r| r.accepted)
-            .min_by_key(|r| r.cost.unwrap_or(u64::MAX))
-            .map(|r| r.form);
-        return Ok(Executed {
-            response: MinimizeResponse {
-                v: SCHEMA_VERSION,
-                id: req.id.clone(),
-                outputs: reports,
-                outcome,
-                rung,
-                optimal,
-                verified,
-                shared_literals: None,
-                shared_terms: None,
-                winner,
-                forms: Some(form_reports),
-                wall: start.elapsed(),
-            },
-            forms: Vec::new(),
-            realizations,
-        });
-    }
-
-    if req.multi && outputs.len() > 1 {
-        if req.mode != MinimizeMode::Exact {
-            return Err(fail(
-                WireErrorKind::BadRequest,
-                format!(
-                    "shared multi-output covering requires mode \"exact\" (got {:?})",
-                    req.mode.as_str()
-                ),
-            ));
-        }
-        let mut m = MultiMinimizer::new(outputs).grouping(req.grouping);
-        if let Some(t) = req.threads.or(env.threads_default) {
-            m = m.threads(t);
-        }
-        if let Some(at) = deadline {
-            m = m.deadline(at.saturating_duration_since(Instant::now()));
-        }
-        if mem_soft.is_some() || mem_hard.is_some() {
-            m = m.mem_budget(mem_soft, mem_hard);
-        }
-        if let Some(token) = &env.cancel {
-            m = m.cancel_token(token.clone());
-        }
-        if let Some(sink) = &env.sink {
-            m = m.on_event(sink.clone());
-        }
-        if let Some(cache) = &env.cache {
-            m = m.cache(cache.clone());
-        }
-        let r = m.run().map_err(|e| ErrorFrame::from(e).with_id(req.id.clone()))?;
-        let mut forms = r.forms;
-        let mut rung = Rung::Exact;
-        let mut optimal = r.optimal;
-        let mut shared_literals = r.shared_literal_count;
-        let mut shared_terms = r.shared_terms.len();
+    let mut forms = Vec::with_capacity(outputs.len());
+    let mut realizations = Vec::with_capacity(outputs.len());
+    let mut reports = Vec::with_capacity(outputs.len());
+    let mut scoreboards = Vec::new();
+    let mut shared_counts = None;
+    let mut outcome = Outcome::Completed;
+    let mut rung = Rung::Exact;
+    let mut optimal = true;
+    let mut verified = true;
+    if shared {
+        let cache = env.cache.clone();
+        let m = MultiMinimizer { outputs, options: options.clone(), ctx: ctx(), cache };
+        let r = m.run().map_err(error)?;
+        forms = r.forms;
+        outcome = r.outcome;
+        optimal = r.optimal;
+        let mut counts = (r.shared_literal_count, r.shared_terms.len());
         if r.outcome != Outcome::Completed {
             for (form, f) in forms.iter_mut().zip(outputs) {
                 if form.check_realizes(f).is_err() {
-                    *form = sop_fallback(f);
+                    *form = backstop(f);
                     rung = Rung::Sop;
                     optimal = false;
                 }
@@ -1135,101 +1069,66 @@ pub fn execute_fns(
                 // The shared accounting no longer describes the emitted
                 // forms once any output fell back; report the plain
                 // (unshared) sums instead.
-                shared_literals = forms.iter().map(SppForm::literal_count).sum();
-                shared_terms = forms.iter().map(SppForm::num_pseudoproducts).sum();
+                counts.0 = forms.iter().map(SppForm::literal_count).sum();
+                counts.1 = forms.iter().map(SppForm::num_pseudoproducts).sum();
             }
         }
-        let verified = forms
-            .iter()
-            .zip(outputs)
-            .all(|(form, f)| form.check_realizes(f).is_ok());
-        let reports = forms
-            .iter()
-            .enumerate()
-            .map(|(j, form)| OutputReport {
-                label: label_of(j),
-                literals: form.literal_count(),
-                terms: form.num_pseudoproducts(),
-                form: form.to_string(),
-            })
-            .collect();
-        let realizations = forms.iter().cloned().map(FormRealization::Spp).collect();
-        return Ok(Executed {
-            response: MinimizeResponse {
-                v: SCHEMA_VERSION,
-                id: req.id.clone(),
-                outputs: reports,
-                outcome: r.outcome,
-                rung,
-                optimal,
-                verified,
-                shared_literals: Some(shared_literals),
-                shared_terms: Some(shared_terms),
-                winner: None,
-                forms: None,
-                wall: start.elapsed(),
-            },
-            forms,
-            realizations,
-        });
-    }
-
-    let mut forms = Vec::with_capacity(outputs.len());
-    let mut reports = Vec::with_capacity(outputs.len());
-    let mut outcome = Outcome::Completed;
-    let mut rung = Rung::Exact;
-    let mut optimal = true;
-    let mut verified = true;
-    for (j, f) in outputs.iter().enumerate() {
-        let mut r = match req.mode {
-            MinimizeMode::Exact => configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard).run_exact(),
-            MinimizeMode::Governed => configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard).run_governed(),
-            MinimizeMode::Heuristic(k) => configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard)
-                .run_heuristic(k)
-                .map_err(|e| ErrorFrame::from(e).with_id(req.id.clone()))?,
-            MinimizeMode::Restricted(w) => configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard)
-                .run_restricted(w)
-                .map_err(|e| ErrorFrame::from(e).with_id(req.id.clone()))?,
-            MinimizeMode::Sop => {
-                let sp = spp_sp::minimize_sp(f, &SppOptions::default().cover_limits);
-                let form = SppForm::new(
-                    f.num_vars(),
-                    sp.form.cubes().iter().map(Pseudocube::from_cube).collect(),
-                );
-                crate::SppMinResult {
-                    num_candidates: form.num_pseudoproducts(),
-                    form,
+        shared_counts = Some(counts);
+        verified = forms.iter().zip(outputs).all(|(form, f)| form.check_realizes(f).is_ok());
+        realizations = forms.iter().cloned().map(FormRealization::Spp).collect();
+        reports = realizations.iter().enumerate().map(|(j, r)| output_report(j, r)).collect();
+    } else {
+        for (j, f) in outputs.iter().enumerate() {
+            let m = Minimizer { f, options: options.clone(), ctx: ctx(), cache: env.cache.clone() };
+            let spp = |mut r: SppMinResult| {
+                if r.outcome != Outcome::Completed && r.form.check_realizes(f).is_err() {
+                    r.form = backstop(f);
+                    r.rung = Rung::Sop;
+                    r.optimal = false;
+                }
+                let (optimal, outcome, rung) = (r.optimal, r.outcome, r.rung);
+                FormAnswer { realization: FormRealization::Spp(r.form), optimal, outcome, rung }
+            };
+            let answer = match req.mode {
+                MinimizeMode::Portfolio => {
+                    let r = m.run_portfolio(&portfolio);
+                    scoreboards.push(r.reports);
+                    let (optimal, outcome, rung) = (r.optimal, r.outcome, r.rung);
+                    FormAnswer { realization: r.realization, optimal, outcome, rung }
+                }
+                MinimizeMode::Exact => spp(m.run_exact()),
+                MinimizeMode::Governed => spp(m.run_governed()),
+                MinimizeMode::Heuristic(k) => spp(m.run_heuristic(k).map_err(error)?),
+                MinimizeMode::Restricted(w) => spp(m.run_restricted(w).map_err(error)?),
+                // Plain SP runs no session: no events, and never degraded.
+                MinimizeMode::Sop => FormAnswer {
+                    realization: FormRealization::Spp(backstop(f)),
                     optimal: false,
-                    gen_stats: crate::GenStats::default(),
-                    gen_elapsed: Duration::ZERO,
-                    cover_elapsed: Duration::ZERO,
                     outcome: Outcome::Completed,
                     rung: Rung::Sop,
-                    faults: Vec::new(),
-                }
+                },
+            };
+            outcome = outcome.merge(answer.outcome);
+            rung = rung.max(answer.rung);
+            optimal &= answer.optimal;
+            verified &= answer.realization.realizes(f);
+            reports.push(output_report(j, &answer.realization));
+            if let (false, FormRealization::Spp(form)) = (race, &answer.realization) {
+                forms.push(form.clone());
             }
-            // Handled by the dedicated branch above (or rejected as
-            // multi + non-exact before reaching this loop).
-            MinimizeMode::Portfolio => unreachable!("portfolio handled above"),
-        };
-        if r.outcome != Outcome::Completed && r.form.check_realizes(f).is_err() {
-            r.form = sop_fallback(f);
-            r.rung = Rung::Sop;
-            r.optimal = false;
+            realizations.push(answer.realization);
         }
-        outcome = outcome.merge(r.outcome);
-        rung = rung.max(r.rung);
-        optimal &= r.optimal;
-        verified &= r.form.check_realizes(f).is_ok();
-        reports.push(OutputReport {
-            label: label_of(j),
-            literals: r.form.literal_count(),
-            terms: r.form.num_pseudoproducts(),
-            form: r.form.to_string(),
-        });
-        forms.push(r.form);
     }
-    let realizations = forms.iter().cloned().map(FormRealization::Spp).collect();
+    let form_reports = race.then(|| aggregate_form_reports(&scoreboards));
+    // The aggregate winner: cheapest summed cost among forms accepted for
+    // every output; `min_by_key` keeps the first of equal minima, so ties
+    // break toward the canonical-order earlier form.
+    let winner = form_reports
+        .iter()
+        .flatten()
+        .filter(|r| r.accepted)
+        .min_by_key(|r| r.cost.unwrap_or(u64::MAX))
+        .map(|r| r.form);
     Ok(Executed {
         response: MinimizeResponse {
             v: SCHEMA_VERSION,
@@ -1239,10 +1138,10 @@ pub fn execute_fns(
             rung,
             optimal,
             verified,
-            shared_literals: None,
-            shared_terms: None,
-            winner: None,
-            forms: None,
+            shared_literals: shared_counts.map(|(literals, _)| literals),
+            shared_terms: shared_counts.map(|(_, terms)| terms),
+            winner,
+            forms: form_reports,
             wall: start.elapsed(),
         },
         forms,

@@ -15,8 +15,8 @@ use spp_boolfn::BoolFn;
 use spp_obs::{Event, Phase, RunCtx, Rung};
 
 use crate::generate::generate_eppp_session;
-use crate::minimize::cover_with_candidates;
-use crate::{GenLimits, Grouping, Pseudocube, SppError, SppMinResult, SppOptions};
+use crate::minimize::cover_phase;
+use crate::{Pseudocube, SppError, SppMinResult, SppOptions};
 
 /// Whether every EXOR factor of the canonical expression of `pc` has at
 /// most `max_literals` literals.
@@ -88,89 +88,28 @@ pub(crate) fn restricted_session(
         &|pc| factor_width_at_most(pc, max_factor_literals),
         ctx,
     );
-    let mut outcome = eppp.stats.outcome;
-    let mut candidates: Vec<Pseudocube> = eppp.pseudocubes;
-    if eppp.stats.truncated {
-        // Cubes have width-1 factors, so the SP prime implicants always
-        // conform: fold them in so a truncated run never loses to SP.
-        let known: std::collections::HashSet<&Pseudocube> = candidates.iter().collect();
-        let extra: Vec<Pseudocube> = spp_sp::prime_implicants(f)
-            .iter()
-            .map(Pseudocube::from_cube)
-            .filter(|pc| !known.contains(pc))
-            .collect();
-        candidates.extend(extra);
-    }
     // The width filter can drop the pseudoproducts that covered some
     // minterms (their EPPP substitutes may be wide); single points always
     // conform, so re-add any uncovered ones.
-    for point in f.on_set() {
-        if !candidates.iter().any(|pc| pc.contains(point)) {
-            candidates.push(Pseudocube::from_point(*point));
+    let widen = |candidates: &mut Vec<Pseudocube>| {
+        for point in f.on_set() {
+            if !candidates.iter().any(|pc| pc.contains(point)) {
+                candidates.push(Pseudocube::from_point(*point));
+            }
         }
-    }
-    let gen_elapsed = gen_start.elapsed();
-    ctx.emit(Event::PhaseFinished {
-        phase: Phase::Generate,
-        wall: gen_elapsed,
-        outcome: eppp.stats.outcome,
-    });
-    let cover_start = std::time::Instant::now();
-    ctx.emit(Event::PhaseStarted { phase: Phase::Cover });
-    let (mut form, cover_optimal, cover_outcome) = cover_with_candidates(
-        f,
-        &candidates,
-        &options.cover_limits,
-        options.gen_limits.parallelism,
-        ctx,
-    );
-    outcome = outcome.merge(cover_outcome);
-    if eppp.stats.truncated {
-        // As in the unrestricted minimizer: never return worse than SP.
-        let sp = spp_sp::minimize_sp(f, &options.cover_limits);
-        if sp.form.literal_count() < form.literal_count() {
-            form = crate::SppForm::new(
-                f.num_vars(),
-                sp.form.cubes().iter().map(Pseudocube::from_cube).collect(),
-            );
-        }
-    }
-    let cover_elapsed = cover_start.elapsed();
-    ctx.emit(Event::PhaseFinished {
-        phase: Phase::Cover,
-        wall: cover_elapsed,
-        outcome: cover_outcome,
-    });
-    Ok(SppMinResult {
-        form,
-        num_candidates: candidates.len(),
-        optimal: cover_optimal && !eppp.stats.truncated && outcome.is_completed(),
-        gen_stats: eppp.stats,
-        gen_elapsed,
-        cover_elapsed,
-        outcome,
-        rung: Rung::RestrictedExact,
-        faults: ctx.faults(),
-    })
-}
-
-/// Sanity default used by the harness: generation budget for restricted
-/// sweeps mirrors the unrestricted default.
-#[must_use]
-pub fn restricted_default_limits() -> GenLimits {
-    GenLimits::default()
-}
-
-/// The grouping used by restricted sweeps (same as the default).
-#[must_use]
-pub fn restricted_default_grouping() -> Grouping {
-    Grouping::default()
+    };
+    // Cubes have width-1 factors, so the SP prime implicants and the SP
+    // backstop that `cover_phase` adds to a truncated run always conform.
+    let mut r = cover_phase(f, eppp, gen_start, options, ctx, None, widen);
+    r.rung = Rung::RestrictedExact;
+    Ok(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::minimize::exact_session;
+    use crate::GenLimits;
     use crate::SppForm;
     use spp_gf2::Gf2Vec;
     use spp_sp::minimize_sp;

@@ -1,0 +1,143 @@
+//! The one entrant runner behind the rung ladder
+//! ([`Minimizer::run_governed`]) and the form race
+//! ([`Minimizer::run_portfolio`]), and the SP backstop every path ends
+//! in: "in the worst case, SP and SPP forms coincide" (paper §1).
+
+use std::time::{Duration, Instant};
+
+use spp_boolfn::BoolFn;
+use spp_obs::{Event, Form, Outcome, Rung};
+
+use crate::{Minimizer, Pseudocube, SppForm};
+
+/// How the runner picks its answer among the accepted entrants.
+pub(crate) enum Policy<'a, A> {
+    /// The first accepted entrant answers (the rung ladder).
+    FirstAccepted,
+    /// The accepted entrant of least cost answers, ties going to the
+    /// earlier entrant (the form race).
+    Cheapest(&'a dyn Fn(&A) -> u64),
+}
+
+/// One element of an entrant list: a ladder rung or a raced form.
+pub(crate) trait Entrant: Copy {
+    /// The entrant the SP backstop runs as.
+    const BACKSTOP: Self;
+    fn started(self) -> Event;
+    fn finished(self, outcome: Outcome, cost: Option<u64>, accepted: bool) -> Event;
+}
+
+impl Entrant for Rung {
+    const BACKSTOP: Self = Rung::Sop;
+
+    fn started(self) -> Event {
+        Event::RungStarted { rung: self }
+    }
+
+    fn finished(self, outcome: Outcome, _cost: Option<u64>, accepted: bool) -> Event {
+        Event::RungFinished { rung: self, outcome, accepted }
+    }
+}
+
+impl Entrant for Form {
+    const BACKSTOP: Self = Form::Sop;
+
+    fn started(self) -> Event {
+        Event::FormStarted { form: self }
+    }
+
+    fn finished(self, outcome: Outcome, cost: Option<u64>, accepted: bool) -> Event {
+        Event::FormFinished { form: self, outcome, cost, accepted }
+    }
+}
+
+/// What one entrant produced.
+pub(crate) trait Answer {
+    fn outcome(&self) -> Outcome;
+    /// Whether the answer provably computes `f` (the independent check).
+    fn realizes(&self, f: &BoolFn) -> bool;
+    /// The SP backstop's answer for session `m`.
+    fn backstop(m: &Minimizer<'_>) -> Self;
+}
+
+/// How one entrant fared.
+pub(crate) struct Lap<E> {
+    pub(crate) entrant: E,
+    pub(crate) outcome: Outcome,
+    /// The entrant's cost in a [`Policy::Cheapest`] race, when verified.
+    pub(crate) cost: Option<u64>,
+    pub(crate) wall: Duration,
+    pub(crate) accepted: bool,
+}
+
+/// The SP backstop as an SPP form: the SP minimum of `f`, each cube a
+/// pseudoproduct. It generates no pseudocube, so it fits any budget.
+pub(crate) fn sp_backstop(f: &BoolFn, limits: &spp_cover::Limits) -> SppForm {
+    let sp = spp_sp::minimize_sp(f, limits);
+    SppForm::new(f.num_vars(), sp.form.cubes().iter().map(Pseudocube::from_cube).collect())
+}
+
+impl Minimizer<'_> {
+    /// Runs `entrants` in order and answers under `policy`, ending in the
+    /// SP backstop when no entrant is accepted. Each entrant gets a fresh
+    /// byte account (one entrant's spike must not disqualify the next)
+    /// and is accepted iff its answer realizes `f` and did not end
+    /// [`Outcome::MemoryExceeded`]. `run` returns `None` when the
+    /// entrant's parameters do not apply to `f`; it is then skipped.
+    /// Returns the answer and a lap per entrant run, backstop included.
+    pub(crate) fn run_entrants<E: Entrant, A: Answer>(
+        &self,
+        entrants: impl IntoIterator<Item = E>,
+        policy: Policy<'_, A>,
+        mut run: impl FnMut(E) -> Option<A>,
+    ) -> (A, Vec<Lap<E>>) {
+        let mut laps = Vec::new();
+        let mut best: Option<(A, u64)> = None;
+        for entrant in entrants {
+            self.ctx.governor().reset();
+            self.ctx.emit(entrant.started());
+            let start = Instant::now();
+            let Some(answer) = run(entrant) else {
+                self.ctx.emit(entrant.finished(Outcome::Completed, None, false));
+                continue;
+            };
+            let outcome = answer.outcome();
+            let verified = answer.realizes(self.f);
+            let accepted = verified && outcome != Outcome::MemoryExceeded;
+            let cost = match &policy {
+                Policy::Cheapest(cost) if verified => Some(cost(&answer)),
+                _ => None,
+            };
+            self.ctx.emit(entrant.finished(outcome, cost, accepted));
+            laps.push(Lap { entrant, outcome, cost, wall: start.elapsed(), accepted });
+            if !accepted {
+                continue;
+            }
+            if matches!(policy, Policy::FirstAccepted) {
+                return (answer, laps);
+            }
+            let cost = cost.unwrap_or(u64::MAX);
+            // Strict `<`: ties stay with the earlier (canonical-order)
+            // entrant, which pins the winner at any thread count.
+            if best.as_ref().is_none_or(|(_, b)| cost < *b) {
+                best = Some((answer, cost));
+            }
+        }
+        if let Some((answer, _)) = best {
+            return (answer, laps);
+        }
+        let entrant = E::BACKSTOP;
+        self.ctx.governor().reset();
+        self.ctx.emit(entrant.started());
+        let start = Instant::now();
+        let answer = A::backstop(self);
+        let outcome = answer.outcome();
+        let cost = match &policy {
+            Policy::Cheapest(cost) => Some(cost(&answer)),
+            Policy::FirstAccepted => None,
+        };
+        self.ctx.emit(entrant.finished(outcome, cost, true));
+        laps.push(Lap { entrant, outcome, cost, wall: start.elapsed(), accepted: true });
+        (answer, laps)
+    }
+}

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spp_boolfn::{BoolFn, Cube};
-use spp_obs::{CancelToken, Event, EventSink, Outcome, RunCtx, Rung};
+use spp_obs::{CancelToken, EventSink, Outcome, RunCtx, Rung};
 use spp_par::Parallelism;
 
 use crate::generate::generate_eppp_session;
@@ -21,9 +21,10 @@ use crate::heuristic::{heuristic_from_cover_session, heuristic_session};
 use crate::minimize::exact_session_cached;
 use crate::multi::multi_session_cached;
 use crate::restricted::restricted_session;
+use crate::runner::{sp_backstop, Answer, Policy};
 use crate::{
     EpppSet, GenLimits, GenStats, Grouping, MultiSppResult, Pseudocube, SppCache, SppError,
-    SppForm, SppMinResult, SppOptions,
+    SppMinResult, SppOptions,
 };
 
 /// A configured single-output minimization session — the front door of the
@@ -271,13 +272,17 @@ impl<'f> Minimizer<'f> {
     /// space) → **heuristic** (`SPP_0`, Algorithm 3) → **SP fallback**
     /// (cubes only — always within reach).
     ///
-    /// Each rung runs under the session's [`mem_budget`](Self::mem_budget)
-    /// with the byte account reset first, and its result is independently
-    /// verified against `f`. The first rung that verifies *and* stays
-    /// within the hard budget is the answer; a rung ending with
-    /// [`Outcome::MemoryExceeded`] (or failing verification — defense in
-    /// depth) makes the ladder descend. [`SppMinResult::rung`] records
-    /// which rung produced the returned form, and `RungStarted` /
+    /// The ladder is the crate's one entrant runner with the
+    /// *first-accepted* policy; the form race
+    /// ([`run_portfolio`](Self::run_portfolio)) is the same runner with
+    /// the *cheapest* policy. Each rung runs under the session's
+    /// [`mem_budget`](Self::mem_budget) with the byte account reset
+    /// first, and its result is independently verified against `f`. The
+    /// first rung that verifies *and* stays within the hard budget is the
+    /// answer; a rung ending with [`Outcome::MemoryExceeded`] (or failing
+    /// verification — defense in depth) makes the ladder descend, and the
+    /// runner's SP backstop is the bottom rung. [`SppMinResult::rung`]
+    /// records which rung produced the returned form, and `RungStarted` /
     /// `RungFinished` events trace the descent.
     ///
     /// A deadline or cancellation does *not* descend: the rung's
@@ -286,56 +291,43 @@ impl<'f> Minimizer<'f> {
     /// [`run_exact`](Self::run_exact) plus ladder events.
     #[must_use]
     pub fn run_governed(&self) -> SppMinResult {
-        for rung in [Rung::Exact, Rung::RestrictedExact, Rung::Heuristic] {
-            self.ctx.governor().reset();
-            self.ctx.emit(Event::RungStarted { rung });
-            let result = match rung {
-                Rung::Exact => Some(exact_session_cached(
-                    self.f,
-                    &self.options,
-                    &self.ctx,
-                    self.cache.as_ref(),
-                )),
+        let rungs = [Rung::Exact, Rung::RestrictedExact, Rung::Heuristic];
+        let (r, _) = self.run_entrants(rungs, Policy::FirstAccepted, |rung| {
+            let mut r = match rung {
+                Rung::Exact => {
+                    exact_session_cached(self.f, &self.options, &self.ctx, self.cache.as_ref())
+                }
                 Rung::RestrictedExact => {
-                    restricted_session(self.f, 2, &self.options, &self.ctx).ok()
+                    restricted_session(self.f, 2, &self.options, &self.ctx).ok()?
                 }
-                _ => heuristic_session(self.f, 0, &self.options, &self.ctx).ok(),
+                _ => heuristic_session(self.f, 0, &self.options, &self.ctx).ok()?,
             };
-            let Some(mut r) = result else {
-                // Unreachable for these fixed parameters; descend anyway.
-                self.ctx.emit(Event::RungFinished {
-                    rung,
-                    outcome: Outcome::Completed,
-                    accepted: false,
-                });
-                continue;
-            };
-            let verified = r.form.check_realizes(self.f).is_ok();
-            let accepted = verified && r.outcome != Outcome::MemoryExceeded;
-            self.ctx.emit(Event::RungFinished { rung, outcome: r.outcome, accepted });
-            if accepted {
-                r.rung = rung;
-                r.faults = self.ctx.faults();
-                if rung != Rung::Exact {
-                    if let Some(cache) = &self.cache {
-                        cache.put_warm_form(self.f, rung, r.form.terms(), &self.ctx);
-                    }
-                }
-                return r;
+            r.rung = rung;
+            r.faults = self.ctx.faults();
+            Some(r)
+        });
+        // A lower generating rung's form warm-starts later exact covers.
+        if matches!(r.rung, Rung::RestrictedExact | Rung::Heuristic) {
+            if let Some(cache) = &self.cache {
+                cache.put_warm_form(self.f, r.rung, r.form.terms(), &self.ctx);
             }
         }
-        // Bottom rung: the SP minimum is always a valid SPP form and
-        // needs no pseudocube generation at all.
-        self.ctx.governor().reset();
-        self.ctx.emit(Event::RungStarted { rung: Rung::Sop });
+        r
+    }
+}
+
+impl Answer for SppMinResult {
+    fn outcome(&self) -> Outcome {
+        self.outcome
+    }
+
+    fn realizes(&self, f: &BoolFn) -> bool {
+        self.form.check_realizes(f).is_ok()
+    }
+
+    fn backstop(m: &Minimizer<'_>) -> Self {
         let start = Instant::now();
-        let sp = spp_sp::minimize_sp(self.f, &self.options.cover_limits);
-        let form = SppForm::new(
-            self.f.num_vars(),
-            sp.form.cubes().iter().map(Pseudocube::from_cube).collect(),
-        );
-        let outcome = self.ctx.stop_reason().unwrap_or_default();
-        self.ctx.emit(Event::RungFinished { rung: Rung::Sop, outcome, accepted: true });
+        let form = sp_backstop(m.f, &m.options.cover_limits);
         SppMinResult {
             num_candidates: form.num_pseudoproducts(),
             form,
@@ -344,9 +336,9 @@ impl<'f> Minimizer<'f> {
             gen_stats: GenStats::default(),
             gen_elapsed: start.elapsed(),
             cover_elapsed: Duration::ZERO,
-            outcome,
+            outcome: m.ctx.stop_reason().unwrap_or_default(),
             rung: Rung::Sop,
-            faults: self.ctx.faults(),
+            faults: m.ctx.faults(),
         }
     }
 }
@@ -369,10 +361,10 @@ impl<'f> Minimizer<'f> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MultiMinimizer<'f> {
-    outputs: &'f [BoolFn],
-    options: SppOptions,
-    ctx: RunCtx,
-    cache: Option<SppCache>,
+    pub(crate) outputs: &'f [BoolFn],
+    pub(crate) options: SppOptions,
+    pub(crate) ctx: RunCtx,
+    pub(crate) cache: Option<SppCache>,
 }
 
 impl<'f> MultiMinimizer<'f> {

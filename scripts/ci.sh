@@ -9,7 +9,8 @@
 # failpoints (with explicit poison-recovery gates), clippy and rustdoc
 # with warnings denied, a compile check of the feature-gated Criterion
 # bench targets, CLI smokes of the deadline- and memory-degradation
-# paths, a --cache-dir round-trip smoke, a two-process shared --cache-dir
+# paths and of the typed input limit of a wide portfolio race, a
+# --cache-dir round-trip smoke, a two-process shared --cache-dir
 # smoke (concurrent writers, bit-identical answers), a serve smoke
 # (daemon up, spp-loadgen drive, SIGINT drain), jq gates on the
 # spp-bench/8 baseline including its kernel_backend, cache-stats,
@@ -67,6 +68,15 @@ echo "==> CLI deadline smoke (--deadline-ms 1 must degrade, not break)"
 echo "==> CLI memory smoke (--mem-budget-mb 1 must land on a lower rung)"
 ./target/release/spp bench adr4 --mem-budget-mb 1 --quiet --threads 2 \
   | grep -E "rung|SP fallback" >/dev/null
+
+echo "==> CLI wide-portfolio smoke (a 25-input race must exit 1 with the typed limit, not panic)"
+printf '.i 25\n.o 1\n%s 1\n.e\n' "$(printf '0%.0s' $(seq 25))" >/tmp/spp-ci-wide.pla
+WIDE_STATUS=0
+./target/release/spp minimize /tmp/spp-ci-wide.pla --form portfolio \
+  2>/tmp/spp-ci-wide.err >/dev/null || WIDE_STATUS=$?
+test "$WIDE_STATUS" -eq 1
+grep -q "at most 24 inputs" /tmp/spp-ci-wide.err
+rm -f /tmp/spp-ci-wide.pla /tmp/spp-ci-wide.err
 
 echo "==> CLI cache smoke (second identical --cache-dir run must hit)"
 rm -rf /tmp/spp-ci-cache

@@ -90,3 +90,29 @@ fn realizations_render_to_equivalent_netlists() {
         ));
     }
 }
+
+/// The cube-form engines and their verification expand the truth table,
+/// so a race that includes ESOP, DSOP or SOP on more than 24 inputs is a
+/// typed `bad_request` before any work runs, not a worker panic. An
+/// SPP-only race of the same function still answers.
+#[test]
+fn wide_portfolio_requests_are_rejected_with_a_typed_error() {
+    use spp::{execute, ExecEnv, MinimizeMode, MinimizeRequest, WireErrorKind};
+
+    let pla = format!(".i 25\n.o 1\n{} 1\n.e\n", "0".repeat(25));
+    let race = |forms: Vec<Form>| {
+        let req = MinimizeRequest::new("wide", pla.as_str())
+            .with_mode(MinimizeMode::Portfolio)
+            .with_forms(forms);
+        execute(&req, &ExecEnv::default())
+    };
+    for forms in [vec![], vec![Form::Esop], vec![Form::Dsop], vec![Form::Spp, Form::Sop]] {
+        let err = race(forms.clone()).expect_err("a wide cube-form race must be refused");
+        assert_eq!(err.kind, WireErrorKind::BadRequest, "{forms:?}");
+        assert_eq!(err.id.as_deref(), Some("wide"));
+        assert!(err.message.contains("at most 24 inputs"), "{forms:?}: {}", err.message);
+    }
+    let spp = race(vec![Form::Spp]).expect("an SPP-only race has no input limit");
+    assert_eq!(spp.response.winner, Some(Form::Spp));
+    assert!(spp.response.verified);
+}
