@@ -64,6 +64,30 @@ impl Cube {
         Cube { mask, values: values & mask }
     }
 
+    /// Lifts a cube over the variables `vars` (variable `j` of `self` is
+    /// input `vars[j]`) into `B^n`, leaving every other input free: the
+    /// inverse of [`BoolFn::project_to_support`](crate::BoolFn::project_to_support)
+    /// for cubes. The literal count is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars.len() != self.num_vars()` or a variable is out of
+    /// range.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use spp_boolfn::Cube;
+    ///
+    /// let c: Cube = "10".parse()?;
+    /// assert_eq!(c.lift(4, &[1, 3]).to_string(), "-1-0");
+    /// # Ok::<(), spp_boolfn::ParseCubeError>(())
+    /// ```
+    #[must_use]
+    pub fn lift(&self, n: usize, vars: &[usize]) -> Cube {
+        Cube::new(self.mask.scatter(n, vars), self.values.scatter(n, vars))
+    }
+
     /// The number of variables of the ambient space.
     #[must_use]
     pub fn num_vars(&self) -> usize {

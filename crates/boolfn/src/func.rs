@@ -278,18 +278,17 @@ impl BoolFn {
     /// ```
     #[must_use]
     pub fn support(&self) -> Vec<usize> {
-        (0..self.n)
-            .filter(|&i| {
-                let flipped_on = |set: &[Gf2Vec]| {
-                    set.iter().any(|p| {
-                        let mut q = *p;
-                        q.flip(i);
-                        set.binary_search(&q).is_err()
-                    })
-                };
-                flipped_on(&self.on) || flipped_on(&self.dc)
-            })
-            .collect()
+        // Flipping `x_i` maps the points with `x_i = 0` onto those with
+        // `x_i = 1` and keeps their sorted order (the order compares bit
+        // positions, and the two points of any such pair agree at `i`). So
+        // a sorted set is invariant under the flip iff its two halves match
+        // pair by pair: one linear pass per variable, no searching.
+        let invariant = |set: &[Gf2Vec], i: usize| {
+            let mut ones = set.iter().filter(|p| p.get(i));
+            set.iter().filter(|p| !p.get(i)).all(|p| ones.next() == Some(&p.with_bit(i, true)))
+                && ones.next().is_none()
+        };
+        (0..self.n).filter(|&i| !invariant(&self.on, i) || !invariant(&self.dc, i)).collect()
     }
 
     /// Projects the function onto its support: returns the equivalent
@@ -531,6 +530,33 @@ mod tests {
         // x1 XOR x3 on 5 variables.
         let f = BoolFn::from_truth_fn(5, |x| ((x >> 1) ^ (x >> 3)) & 1 == 1);
         assert_eq!(f.support(), vec![1, 3]);
+    }
+
+    #[test]
+    fn support_matches_the_flip_definition_on_every_small_function() {
+        // Every 3-input function with every DC assignment: 3^8 cases.
+        for code in 0..3u32.pow(8) {
+            let (mut on, mut dc) = (Vec::new(), Vec::new());
+            let mut c = code;
+            for x in 0..8u64 {
+                match c % 3 {
+                    1 => on.push(Gf2Vec::from_u64(3, x)),
+                    2 => dc.push(Gf2Vec::from_u64(3, x)),
+                    _ => {}
+                }
+                c /= 3;
+            }
+            let f = BoolFn::with_dont_cares(3, on, dc);
+            let expected: Vec<usize> = (0..3)
+                .filter(|&i| {
+                    (0..8u64).any(|x| {
+                        let p = Gf2Vec::from_u64(3, x);
+                        f.value(&p) != f.value(&p.with_bit(i, !p.get(i)))
+                    })
+                })
+                .collect();
+            assert_eq!(f.support(), expected, "code {code}");
+        }
     }
 
     #[test]

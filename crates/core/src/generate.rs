@@ -707,13 +707,41 @@ pub(crate) struct SweepOutcome {
     pub(crate) thread_unions: Vec<u64>,
 }
 
+/// Units of sweep work (one union, or one outer step) between two polls
+/// of the deadline and the cancellation flag. A poll reads the clock, so
+/// polling every union would cost about as much as the union; 1024 units
+/// bound how much work a stop can wait for.
+const SWEEP_POLL_UNITS: u64 = 1024;
+
+/// Polls a run context's deadline and cancellation flag by work done:
+/// once every [`SWEEP_POLL_UNITS`] units, so no worker runs more than
+/// that many unions between polls however the pairs fall into groups.
+/// A sweep shorter than that never polls, which keeps small levels
+/// independent of how the units fall to workers.
+struct WorkPoll<'a> {
+    ctx: &'a RunCtx,
+    units: u64,
+}
+
+impl<'a> WorkPoll<'a> {
+    fn new(ctx: &'a RunCtx) -> Self {
+        WorkPoll { ctx, units: 0 }
+    }
+
+    /// Counts one unit of work; true when this unit's poll finds a stop.
+    fn stopped(&mut self) -> bool {
+        self.units += 1;
+        self.units.is_multiple_of(SWEEP_POLL_UNITS) && self.ctx.stop_reason().is_some()
+    }
+}
+
 /// Unites all same-structure pairs of `level`, producing the deduplicated
 /// next level, discard flags, and counters. `union_cap` bounds the number
 /// of distinct unions produced (exactly, at any thread count — see the
-/// module docs); the context's deadline and cancellation flag are sampled
-/// sparsely (every 64 outer iterations, never consuming a counted
-/// checkpoint). Shared by the exact generator and the heuristic's
-/// ascendant phase.
+/// module docs); the context's deadline and cancellation flag are polled
+/// by work, once per [`SWEEP_POLL_UNITS`] unions or outer steps per
+/// worker, never consuming a counted checkpoint. Shared by the exact
+/// generator and the heuristic's ascendant phase.
 pub(crate) fn sweep_level(
     level: &[Pseudocube],
     grouping: Grouping,
@@ -777,16 +805,15 @@ pub(crate) fn sweep_level(
         let mut scratch = UnionScratch::default();
         let mut discards: Vec<u32> = Vec::new();
         let mut unions = 0u64;
-        let mut ops = 0u64;
+        let mut poll = WorkPoll::new(ctx);
         let mut truncated = false;
         'units: for unit in &assignment[w] {
             let group = &groups[unit.group as usize];
             let dirs = level[group[0] as usize].structure();
             for a in unit.lo..unit.hi {
-                ops += 1;
                 if stop.load(Ordering::Relaxed)
                     || produced.load(Ordering::Relaxed) > union_cap
-                    || (ops.is_multiple_of(64) && ctx.stop_reason().is_some())
+                    || poll.stopped()
                 {
                     stop.store(true, Ordering::Relaxed);
                     truncated = true;
@@ -794,6 +821,11 @@ pub(crate) fn sweep_level(
                 }
                 let i = group[a as usize] as usize;
                 for &j in &group[a as usize + 1..] {
+                    if poll.stopped() {
+                        stop.store(true, Ordering::Relaxed);
+                        truncated = true;
+                        break 'units;
+                    }
                     let j = j as usize;
                     scratch.canonicalize(dirs, reps[i], reps[j]);
                     unions += 1;
@@ -889,11 +921,7 @@ fn sweep_level_sequential(
     let mut unions = 0u64;
     let mut truncated = false;
 
-    let mut ops = 0u64;
-    let over = |arena_len: usize, ops: &mut u64| {
-        *ops += 1;
-        arena_len > union_cap || ((*ops).is_multiple_of(64) && ctx.stop_reason().is_some())
-    };
+    let mut poll = WorkPoll::new(ctx);
     let lits_ref = &lits;
     let mut unite = |i: usize,
                      j: usize,
@@ -943,7 +971,7 @@ fn sweep_level_sequential(
                 level.iter().map(|p| p.structure().structure_hash()).collect();
             let mut matches: Vec<u32> = Vec::new();
             'pairs: for i in 0..level.len() {
-                if over(arena.len(), &mut ops) {
+                if arena.len() > union_cap || poll.stopped() {
                     truncated = true;
                     break 'pairs;
                 }
@@ -953,6 +981,10 @@ fn sweep_level_sequential(
                 for &off in &matches {
                     let j = i + 1 + off as usize;
                     if level[i].structure() == level[j].structure() {
+                        if poll.stopped() {
+                            truncated = true;
+                            break 'pairs;
+                        }
                         unite(i, j, &mut arena, &mut scratch, &mut discarded);
                     }
                 }
@@ -963,13 +995,18 @@ fn sweep_level_sequential(
             num_groups = groups.len();
             'unions: for group in groups {
                 for (a, &i) in group.iter().enumerate() {
-                    // A single structure group can hold thousands of cosets
-                    // (quadratically many unions).
-                    if over(arena.len(), &mut ops) {
+                    if arena.len() > union_cap || poll.stopped() {
                         truncated = true;
                         break 'unions;
                     }
+                    // A single structure group can hold thousands of cosets
+                    // (quadratically many unions), so the clock is polled
+                    // inside the pair loop too.
                     for &j in &group[a + 1..] {
+                        if poll.stopped() {
+                            truncated = true;
+                            break 'unions;
+                        }
                         unite(i as usize, j as usize, &mut arena, &mut scratch, &mut discarded);
                     }
                 }

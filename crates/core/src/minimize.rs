@@ -194,9 +194,11 @@ pub(crate) fn cover_phase(
 ) -> SppMinResult {
     let truncated = eppp.stats.truncated;
     let mut candidates = eppp.pseudocubes;
-    if truncated {
+    // One Quine–McCluskey run feeds both the fold-in and the SP floor.
+    let primes = truncated.then(|| spp_sp::prime_implicants(f));
+    if let Some(primes) = &primes {
         let known: std::collections::HashSet<&Pseudocube> = candidates.iter().collect();
-        let extra: Vec<Pseudocube> = spp_sp::prime_implicants(f)
+        let extra: Vec<Pseudocube> = primes
             .iter()
             .map(Pseudocube::from_cube)
             .filter(|pc| !known.contains(pc))
@@ -223,8 +225,8 @@ pub(crate) fn cover_phase(
         cache,
     );
     let outcome = eppp.stats.outcome.merge(cover_outcome);
-    if truncated {
-        let sp = sp_backstop(f, &options.cover_limits);
+    if let Some(primes) = &primes {
+        let sp = sp_backstop(f, primes, &options.cover_limits);
         if sp.literal_count() < form.literal_count() {
             form = sp;
         }

@@ -194,6 +194,26 @@ impl FormRealization {
         }
     }
 
+    /// Lifts a realization over the variables `vars` (increasing) into
+    /// `B^n`: every term keeps its literals and ignores the other inputs.
+    /// Costs under either [`Objective`] are unchanged.
+    pub(crate) fn lift(&self, n: usize, vars: &[usize]) -> FormRealization {
+        let cubes = |cubes: &[spp_boolfn::Cube]| cubes.iter().map(|c| c.lift(n, vars)).collect();
+        match self {
+            FormRealization::Spp(form) => FormRealization::Spp(SppForm::new(
+                n,
+                form.terms().iter().map(|t| t.lift(n, vars)).collect(),
+            )),
+            FormRealization::Esop(form) => {
+                FormRealization::Esop(EsopForm::new(n, cubes(form.cubes())))
+            }
+            FormRealization::Dsop(form) => {
+                FormRealization::Dsop(DsopForm::new(n, cubes(form.cubes())))
+            }
+            FormRealization::Sop(form) => FormRealization::Sop(SpForm::new(n, cubes(form.cubes()))),
+        }
+    }
+
     /// Whether the realization provably computes `f`, under the *form's
     /// own* semantics (OR of terms for SPP/SOP, XOR of cubes for ESOP,
     /// disjointness plus coverage for DSOP).

@@ -322,6 +322,45 @@ impl Pseudocube {
         Cex::from_pseudocube(self)
     }
 
+    /// Lifts a pseudocube over the variables `vars` (variable `j` of
+    /// `self` is input `vars[j]`, `vars` increasing) into `B^n`, free in
+    /// every other input: the inverse of
+    /// [`BoolFn::project_to_support`](spp_boolfn::BoolFn::project_to_support)
+    /// for pseudoproducts.
+    ///
+    /// The rep and the basis rows are placed, and each unused input gets
+    /// a unit row at its own pivot. Placement keeps every row's lowest
+    /// bit lowest and the unit rows touch no other pivot, so the result is
+    /// already canonical; its EXOR factors and literal count are those of
+    /// `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars.len() != self.num_vars()` or `vars` is not
+    /// strictly increasing below `n`.
+    #[must_use]
+    pub(crate) fn lift(&self, n: usize, vars: &[usize]) -> Pseudocube {
+        assert!(
+            vars.windows(2).all(|w| w[0] < w[1]),
+            "lifted variables must increase"
+        );
+        let mut used = vec![false; n];
+        for &v in vars {
+            used[v] = true;
+        }
+        let placed = self.dirs.rows().iter().zip(self.dirs.pivots());
+        let mut rows: Vec<(u16, Gf2Vec)> = placed
+            .map(|(row, &p)| (vars[p as usize] as u16, row.scatter(n, vars)))
+            .collect();
+        for i in (0..n).filter(|&i| !used[i]) {
+            rows.push((i as u16, Gf2Vec::from_index_bits(n, &[i])));
+        }
+        rows.sort_unstable_by_key(|&(pivot, _)| pivot);
+        let (pivots, rows) = rows.into_iter().unzip();
+        let dirs = EchelonBasis::from_reduced_rows(n, rows, pivots);
+        Pseudocube::from_canonical_parts(self.rep.scatter(n, vars), dirs)
+    }
+
     /// Whether the pseudocube is a plain cube (every EXOR factor is a
     /// single literal).
     #[must_use]
@@ -526,6 +565,36 @@ mod tests {
         }
         let union = Pseudocube::from_points(f.on_set()).unwrap();
         assert!(union.is_prime_within(&f));
+    }
+
+    #[test]
+    fn lifting_keeps_the_factors_and_the_literal_count() {
+        let a = Pseudocube::from_cube(&"10".parse().unwrap());
+        let b = Pseudocube::from_cube(&"01".parse().unwrap());
+        let xor = a.union(&b).unwrap(); // x0⊕x1
+        let lifted = xor.lift(4, &[1, 3]);
+        assert_eq!(lifted.to_string(), "(x1⊕x3)");
+        assert_eq!((lifted.degree(), lifted.literal_count()), (3, 2));
+
+        // The lifted form is canonical: equal to the pseudocube rebuilt
+        // from every lifted point.
+        let fig1 = Pseudocube::from_points(&figure1_points()).unwrap();
+        let vars = [0, 2, 3, 5, 6, 8];
+        let lifted = fig1.lift(9, &vars);
+        let free = [1, 4, 7];
+        let mut points = Vec::new();
+        for p in fig1.points() {
+            for bits in 0..8u32 {
+                let mut q = p.scatter(9, &vars);
+                for (k, &i) in free.iter().enumerate() {
+                    q.set(i, bits >> k & 1 == 1);
+                }
+                points.push(q);
+            }
+        }
+        assert_eq!(lifted, Pseudocube::from_points(&points).unwrap());
+        assert_eq!(lifted.literal_count(), fig1.literal_count());
+        assert_eq!(lifted.cex().factors().len(), fig1.cex().factors().len());
     }
 
     #[test]

@@ -970,6 +970,14 @@ pub fn execute(req: &MinimizeRequest, env: &ExecEnv) -> Result<Executed, ErrorFr
 /// core of the CLI one-shot path and the serve worker loop. `labels`
 /// names the outputs (padded with `y<j>` when short).
 ///
+/// Each single-output function that ignores some of its inputs is
+/// minimized on its support ([`BoolFn::project_to_support`]) and its
+/// answer lifted back to the declared inputs with the same cost; the
+/// session, its cache entries and its events all see the projected
+/// function, while `verified` checks the lifted form against the
+/// declared one. Constant and full-support functions, and shared
+/// multi-output covering, run on the declared inputs.
+///
 /// # Errors
 ///
 /// [`WireErrorKind::BadRequest`] for an empty output list, invalid
@@ -1038,7 +1046,8 @@ pub fn execute_fns(
     // form mid-search. The SP backstop is always realizable and needs no
     // pseudocube generation, so a stopped request still answers with a
     // verified best-so-far form — the drain contract of `spp serve`.
-    let backstop = |f: &BoolFn| sp_backstop(f, &options.cover_limits);
+    let backstop =
+        |f: &BoolFn| sp_backstop(f, &spp_sp::prime_implicants(f), &options.cover_limits);
 
     let mut forms = Vec::with_capacity(outputs.len());
     let mut realizations = Vec::with_capacity(outputs.len());
@@ -1079,17 +1088,30 @@ pub fn execute_fns(
         reports = realizations.iter().enumerate().map(|(j, r)| output_report(j, r)).collect();
     } else {
         for (j, f) in outputs.iter().enumerate() {
-            let m = Minimizer { f, options: options.clone(), ctx: ctx(), cache: env.cache.clone() };
+            // Every input an output ignores doubles the points Algorithm 2
+            // unites, so a function that ignores some inputs is minimized
+            // on its support and its answer lifted back to the declared
+            // inputs. Constant and full-support functions run as declared.
+            let support = f.support();
+            let projected = (!support.is_empty() && support.len() < f.num_vars())
+                .then(|| f.project_to_support());
+            let g = projected.as_ref().map_or(f, |(g, _)| g);
+            let m = Minimizer {
+                f: g,
+                options: options.clone(),
+                ctx: ctx(),
+                cache: env.cache.clone(),
+            };
             let spp = |mut r: SppMinResult| {
-                if r.outcome != Outcome::Completed && r.form.check_realizes(f).is_err() {
-                    r.form = backstop(f);
+                if r.outcome != Outcome::Completed && r.form.check_realizes(g).is_err() {
+                    r.form = backstop(g);
                     r.rung = Rung::Sop;
                     r.optimal = false;
                 }
                 let (optimal, outcome, rung) = (r.optimal, r.outcome, r.rung);
                 FormAnswer { realization: FormRealization::Spp(r.form), optimal, outcome, rung }
             };
-            let answer = match req.mode {
+            let mut answer = match req.mode {
                 MinimizeMode::Portfolio => {
                     let r = m.run_portfolio(&portfolio);
                     scoreboards.push(r.reports);
@@ -1098,16 +1120,27 @@ pub fn execute_fns(
                 }
                 MinimizeMode::Exact => spp(m.run_exact()),
                 MinimizeMode::Governed => spp(m.run_governed()),
-                MinimizeMode::Heuristic(k) => spp(m.run_heuristic(k).map_err(error)?),
+                // `k` is checked against the declared width; on the
+                // support, `k = n − 1` is already the deepest descent.
+                MinimizeMode::Heuristic(k) if k >= f.num_vars().max(1) => {
+                    return Err(error(SppError::HeuristicK { k, n: f.num_vars() }));
+                }
+                MinimizeMode::Heuristic(k) => {
+                    let k = k.min(g.num_vars().saturating_sub(1));
+                    spp(m.run_heuristic(k).map_err(error)?)
+                }
                 MinimizeMode::Restricted(w) => spp(m.run_restricted(w).map_err(error)?),
                 // Plain SP runs no session: no events, and never degraded.
                 MinimizeMode::Sop => FormAnswer {
-                    realization: FormRealization::Spp(backstop(f)),
+                    realization: FormRealization::Spp(backstop(g)),
                     optimal: false,
                     outcome: Outcome::Completed,
                     rung: Rung::Sop,
                 },
             };
+            if let Some((_, vars)) = &projected {
+                answer.realization = answer.realization.lift(f.num_vars(), vars);
+            }
             outcome = outcome.merge(answer.outcome);
             rung = rung.max(answer.rung);
             optimal &= answer.optimal;

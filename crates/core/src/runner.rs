@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use spp_boolfn::BoolFn;
+use spp_boolfn::{BoolFn, Cube};
 use spp_obs::{Event, Form, Outcome, Rung};
 
 use crate::{Minimizer, Pseudocube, SppForm};
@@ -70,10 +70,11 @@ pub(crate) struct Lap<E> {
     pub(crate) accepted: bool,
 }
 
-/// The SP backstop as an SPP form: the SP minimum of `f`, each cube a
-/// pseudoproduct. It generates no pseudocube, so it fits any budget.
-pub(crate) fn sp_backstop(f: &BoolFn, limits: &spp_cover::Limits) -> SppForm {
-    let sp = spp_sp::minimize_sp(f, limits);
+/// The SP backstop as an SPP form: the SP minimum of `f` over its prime
+/// implicants `primes`, each cube a pseudoproduct. It generates no
+/// pseudocube, so it fits any budget.
+pub(crate) fn sp_backstop(f: &BoolFn, primes: &[Cube], limits: &spp_cover::Limits) -> SppForm {
+    let sp = spp_sp::cover_primes(f, primes, limits);
     SppForm::new(f.num_vars(), sp.form.cubes().iter().map(Pseudocube::from_cube).collect())
 }
 

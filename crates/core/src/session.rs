@@ -327,7 +327,7 @@ impl Answer for SppMinResult {
 
     fn backstop(m: &Minimizer<'_>) -> Self {
         let start = Instant::now();
-        let form = sp_backstop(m.f, &m.options.cover_limits);
+        let form = sp_backstop(m.f, &spp_sp::prime_implicants(m.f), &m.options.cover_limits);
         SppMinResult {
             num_candidates: form.num_pseudoproducts(),
             form,

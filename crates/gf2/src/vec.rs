@@ -252,6 +252,33 @@ impl Gf2Vec {
         OnesIter { words: self.words, word_idx: 0 }
     }
 
+    /// Moves bit `i` to position `positions[i]` of a new vector of length
+    /// `len`, clearing every other position — the inverse of selecting
+    /// the bits at `positions`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions.len() != self.len()`, `len > MAX_BITS` or a
+    /// position is out of range.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use spp_gf2::Gf2Vec;
+    ///
+    /// let v = Gf2Vec::from_bit_str("101").unwrap();
+    /// assert_eq!(v.scatter(6, &[1, 2, 4]), Gf2Vec::from_bit_str("010010").unwrap());
+    /// ```
+    #[must_use]
+    pub fn scatter(&self, len: usize, positions: &[usize]) -> Gf2Vec {
+        assert_eq!(positions.len(), self.len(), "one position per bit");
+        let mut v = Self::zeros(len);
+        for i in self.iter_ones() {
+            v.set(positions[i], true);
+        }
+        v
+    }
+
     /// Interprets the lowest 64 bits as an integer (bit `i` of the result is
     /// coordinate `x_i`).
     ///

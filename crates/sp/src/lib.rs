@@ -28,5 +28,5 @@ mod qm;
 
 pub use espresso::{minimize_sp_heuristic, SpHeuristicResult};
 pub use form::SpForm;
-pub use minimize::{minimize_sp, SpMinResult};
+pub use minimize::{cover_primes, minimize_sp, SpMinResult};
 pub use qm::prime_implicants;

@@ -1,6 +1,6 @@
 //! Minimum-literal SP synthesis.
 
-use spp_boolfn::BoolFn;
+use spp_boolfn::{BoolFn, Cube};
 use spp_cover::{solve_auto, CoverProblem, Limits};
 
 use crate::{prime_implicants, SpForm};
@@ -45,10 +45,32 @@ impl SpMinResult {
 /// ```
 #[must_use]
 pub fn minimize_sp(f: &BoolFn, limits: &Limits) -> SpMinResult {
-    let primes = prime_implicants(f);
+    cover_primes(f, &prime_implicants(f), limits)
+}
+
+/// The covering step of [`minimize_sp`] on an already generated prime
+/// list, for a caller that needs the primes of `f` for something else
+/// too: Quine–McCluskey then runs once. With
+/// [`prime_implicants(f)`](prime_implicants) the result is exactly
+/// [`minimize_sp`]'s; any list of implicants covering the ON-set gives a
+/// valid form.
+///
+/// # Examples
+///
+/// ```
+/// use spp_boolfn::BoolFn;
+/// use spp_sp::{cover_primes, minimize_sp, prime_implicants};
+///
+/// let maj = BoolFn::from_truth_fn(3, |x| x.count_ones() >= 2);
+/// let limits = spp_cover::Limits::default();
+/// let r = cover_primes(&maj, &prime_implicants(&maj), &limits);
+/// assert_eq!(r.form, minimize_sp(&maj, &limits).form);
+/// ```
+#[must_use]
+pub fn cover_primes(f: &BoolFn, primes: &[Cube], limits: &Limits) -> SpMinResult {
     let on = f.on_set();
     let mut problem = CoverProblem::new(on.len());
-    for prime in &primes {
+    for prime in primes {
         let rows: Vec<usize> = on
             .iter()
             .enumerate()

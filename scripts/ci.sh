@@ -9,8 +9,9 @@
 # failpoints (with explicit poison-recovery gates), clippy and rustdoc
 # with warnings denied, a compile check of the feature-gated Criterion
 # bench targets, CLI smokes of the deadline- and memory-degradation
-# paths and of the typed input limit of a wide portfolio race, a
-# --cache-dir round-trip smoke, a two-process shared --cache-dir
+# paths, of a padded 16-input function answering on its support
+# within its deadline and of the typed input limit of a wide portfolio
+# race, a --cache-dir round-trip smoke, a two-process shared --cache-dir
 # smoke (concurrent writers, bit-identical answers), a serve smoke
 # (daemon up, spp-loadgen drive, SIGINT drain), jq gates on the
 # spp-bench/8 baseline including its kernel_backend, cache-stats,
@@ -68,6 +69,17 @@ echo "==> CLI deadline smoke (--deadline-ms 1 must degrade, not break)"
 echo "==> CLI memory smoke (--mem-budget-mb 1 must land on a lower rung)"
 ./target/release/spp bench adr4 --mem-budget-mb 1 --quiet --threads 2 \
   | grep -E "rung|SP fallback" >/dev/null
+
+echo "==> CLI padded-input smoke (a⊕bc padded to 16 inputs answers on its support, within the deadline)"
+PAD=$(printf -- '-%.0s' $(seq 13))
+printf '.i 16\n.o 1\n10-%s 1\n1-0%s 1\n011%s 1\n.e\n' "$PAD" "$PAD" "$PAD" >/tmp/spp-ci-padded.pla
+timeout 10 ./target/release/spp minimize /tmp/spp-ci-padded.pla --deadline-ms 1000 \
+  >/tmp/spp-ci-padded.out
+grep -q "SPP 5 literals" /tmp/spp-ci-padded.out
+if grep -q "deadline_exceeded" /tmp/spp-ci-padded.out; then
+  echo "padded a⊕bc hit its deadline"; exit 1
+fi
+rm -f /tmp/spp-ci-padded.pla /tmp/spp-ci-padded.out
 
 echo "==> CLI wide-portfolio smoke (a 25-input race must exit 1 with the typed limit, not panic)"
 printf '.i 25\n.o 1\n%s 1\n.e\n' "$(printf '0%.0s' $(seq 25))" >/tmp/spp-ci-wide.pla

@@ -124,3 +124,48 @@ fn parse_pla_matches_fromstr() {
     let via_fromstr: Pla = text.parse().unwrap();
     assert_eq!(via_error_api.output_fns(), via_fromstr.output_fns());
 }
+
+/// Cancels its token the moment generation starts its degree-0 sweep and
+/// records how many unions that sweep still produced.
+struct CancelAtSweep {
+    token: CancelToken,
+    unions: std::sync::Mutex<Option<usize>>,
+}
+
+impl spp::EventSink for CancelAtSweep {
+    fn emit(&self, event: &spp::Event) {
+        match event {
+            spp::Event::GenLevelStarted { degree: 0, .. } => self.token.cancel(),
+            spp::Event::GenLevelFinished { degree: 0, unions, .. } => {
+                *self.unions.lock().unwrap() = Some(*unions);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The union sweep polls the clock and the cancel flag by work done, not
+/// by outer step: a degree-0 sweep over a 12-input function has ~10^6
+/// pairs in one structure group, and a stop raised as it starts must be
+/// seen within a few thousand unions per worker.
+#[test]
+fn union_sweep_notices_a_cancel_within_a_few_thousand_unions() {
+    let f = BoolFn::from_truth_fn(12, |x| x % 3 == 1);
+    assert_eq!(f.support().len(), 12);
+    for threads in [1, 2] {
+        let token = CancelToken::new();
+        let sink = std::sync::Arc::new(CancelAtSweep {
+            token: token.clone(),
+            unions: std::sync::Mutex::new(None),
+        });
+        let r = Minimizer::new(&f)
+            .threads(threads)
+            .cancel_token(token)
+            .on_event(sink.clone())
+            .run_exact();
+        assert_eq!(r.outcome, Outcome::Cancelled, "x{threads}");
+        r.form.check_realizes(&f).unwrap_or_else(|e| panic!("x{threads}: {e}"));
+        let unions = sink.unions.lock().unwrap().expect("the degree-0 sweep finished");
+        assert!(unions <= 4096, "x{threads}: {unions} unions after the cancel");
+    }
+}
