@@ -16,20 +16,18 @@ fn slices() -> Vec<(&'static str, BoolFn)> {
 }
 
 /// Per-iteration budgets small enough that a bench iteration is the
-/// algorithm, not a covering-solver timeout.
+/// algorithm, not a long covering proof.
 fn options() -> SppOptions {
     SppOptions::default()
         .with_gen_limits(
             spp_core::GenLimits::default()
                 .with_max_pseudocubes(100_000)
                 .with_max_level_size(80_000)
-                .with_time_limit(None)
                 .with_parallelism(spp_core::Parallelism::AUTO),
         )
         .with_cover_limits(
             spp_cover::Limits::default()
                 .with_max_nodes(20_000)
-                .with_time_limit(Some(std::time::Duration::from_millis(200)))
                 .with_max_exact_columns(3_000),
         )
 }

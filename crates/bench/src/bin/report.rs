@@ -408,7 +408,8 @@ fn emit_json(
         for (grouping_label, grouping, parallelism) in configs {
             let limits = spp_bench::table2_gen_limits(mode).with_parallelism(parallelism);
             eprintln!("timing {name}({idx}) {grouping_label} x{} ...", parallelism.threads());
-            let (set, dt) = timed_eppp_with(&f, grouping, &limits);
+            let deadline = Some(spp_bench::table2_deadline(mode));
+            let (set, dt) = timed_eppp_with(&f, grouping, &limits, deadline);
             // The cache-warmed re-run: populate once (insertion or an
             // earlier run's disk entry), then time the warm generate.
             // Truncated sets are never cached — their warm time stays

@@ -33,6 +33,7 @@ const ROWS: &[(&str, usize, u64, Option<u64>, u64)] = &[
 
 fn main() {
     let mode = Mode::from_args();
+    let deadline = Some(spp_bench::table2_deadline(mode));
     println!("Table 2: CPU time (s) of EPPP construction — algorithm of [5] vs Algorithm 2");
     println!("{}", mode.banner());
     println!(
@@ -48,8 +49,10 @@ fn main() {
         }
         let f = circuit.output_on_support(idx);
         let limits = spp_bench::table2_gen_limits(mode);
-        let (base_set, base_dt) = spp_bench::timed_eppp_with(&f, Grouping::Quadratic, &limits);
-        let (trie_set, trie_dt) = spp_bench::timed_eppp_with(&f, Grouping::PartitionTrie, &limits);
+        let (base_set, base_dt) =
+            spp_bench::timed_eppp_with(&f, Grouping::Quadratic, &limits, deadline);
+        let (trie_set, trie_dt) =
+            spp_bench::timed_eppp_with(&f, Grouping::PartitionTrie, &limits, deadline);
 
         // #L of the minimal expression over the trie-built EPPP set; the
         // per-candidate row scans fan out across workers.
@@ -95,9 +98,10 @@ fn main() {
     for (name, idx) in [("life", 0usize), ("adr4", 3), ("dist", 1), ("root", 1), ("mlp4", 5)] {
         let f = circuit_or_die(name).output_on_support(idx);
         let limits = spp_bench::table2_gen_limits(mode);
-        let (base_set, base_dt) = spp_bench::timed_eppp_with(&f, Grouping::Quadratic, &limits);
+        let (base_set, base_dt) =
+            spp_bench::timed_eppp_with(&f, Grouping::Quadratic, &limits, deadline);
         let (trie_set, trie_dt) =
-            spp_bench::timed_eppp_with(&f, Grouping::PartitionTrie, &limits);
+            spp_bench::timed_eppp_with(&f, Grouping::PartitionTrie, &limits, deadline);
         let speedup = base_dt.as_secs_f64() / trie_dt.as_secs_f64().max(1e-9);
         println!(
             "{:<12} | {:>6} | {:>10} {:>10} | {:>12} {:>12} | {:>8.1}x",

@@ -67,13 +67,11 @@ impl Mode {
                     spp_core::GenLimits::default()
                         .with_max_pseudocubes(150_000)
                         .with_max_level_size(100_000)
-                        .with_time_limit(Some(Duration::from_secs(10)))
                         .with_parallelism(spp_core::Parallelism::AUTO),
                 )
                 .with_cover_limits(
                     spp_cover::Limits::default()
                         .with_max_nodes(200_000)
-                        .with_time_limit(Some(Duration::from_secs(5)))
                         .with_max_exact_columns(4_000)
                         .with_parallelism(spp_cover::Parallelism::AUTO),
                 ),
@@ -83,13 +81,11 @@ impl Mode {
                     spp_core::GenLimits::default()
                         .with_max_pseudocubes(600_000)
                         .with_max_level_size(400_000)
-                        .with_time_limit(Some(Duration::from_secs(300)))
                         .with_parallelism(spp_core::Parallelism::AUTO),
                 )
                 .with_cover_limits(
                     spp_cover::Limits::default()
                         .with_max_nodes(2_000_000)
-                        .with_time_limit(Some(Duration::from_secs(60)))
                         .with_max_exact_columns(20_000)
                         .with_parallelism(spp_cover::Parallelism::AUTO),
                 ),
@@ -234,17 +230,25 @@ pub fn heuristic_point(f: &BoolFn, k: usize, mode: Mode) -> (SppMinResult, Durat
 #[must_use]
 pub fn timed_eppp(f: &BoolFn, grouping: Grouping, mode: Mode) -> (EpppSet, Duration) {
     let options = mode.spp_options();
-    timed_eppp_with(f, grouping, &options.gen_limits)
+    timed_eppp_with(f, grouping, &options.gen_limits, None)
 }
 
-/// Generates the EPPP set of `f` under explicit limits, timing it.
+/// Generates the EPPP set of `f` under explicit limits and an optional
+/// session deadline, timing it. A run the deadline stops is truncated.
 #[must_use]
 pub fn timed_eppp_with(
     f: &BoolFn,
     grouping: Grouping,
     limits: &spp_core::GenLimits,
+    deadline: Option<Duration>,
 ) -> (EpppSet, Duration) {
-    timed(|| Minimizer::new(f).grouping(grouping).limits(limits.clone()).generate())
+    timed(|| {
+        let session = Minimizer::new(f).grouping(grouping).limits(limits.clone());
+        match deadline {
+            Some(budget) => session.deadline(budget).generate(),
+            None => session.generate(),
+        }
+    })
 }
 
 /// Generates the EPPP set of `f` under explicit limits with a result
@@ -270,20 +274,28 @@ pub fn timed_eppp_cached(
 /// Generation budgets for the Table 2 timing comparison: generous enough
 /// that the partition trie finishes while the quadratic baseline visibly
 /// pays its `|X|²/2` comparisons (and stars out on the hardest outputs,
-/// like the paper's two-day timeouts).
+/// like the paper's two-day timeouts, once [`table2_deadline`] passes).
 #[must_use]
 pub fn table2_gen_limits(mode: Mode) -> spp_core::GenLimits {
     match mode {
         Mode::Fast => spp_core::GenLimits::default()
             .with_max_pseudocubes(400_000)
             .with_max_level_size(250_000)
-            .with_time_limit(Some(Duration::from_secs(30)))
             .with_parallelism(spp_core::Parallelism::AUTO),
         Mode::Full => spp_core::GenLimits::default()
             .with_max_pseudocubes(1_000_000)
             .with_max_level_size(700_000)
-            .with_time_limit(Some(Duration::from_secs(900)))
             .with_parallelism(spp_core::Parallelism::AUTO),
+    }
+}
+
+/// The session deadline of each Table 2 generation run: 30 s in the fast
+/// profile, 900 s in the full one.
+#[must_use]
+pub fn table2_deadline(mode: Mode) -> Duration {
+    match mode {
+        Mode::Fast => Duration::from_secs(30),
+        Mode::Full => Duration::from_secs(900),
     }
 }
 

@@ -312,19 +312,45 @@ impl BoolFn {
     #[must_use]
     pub fn project_to_support(&self) -> (BoolFn, Vec<usize>) {
         let support = self.support();
+        (self.project(&support), support)
+    }
+
+    /// The function over the variables `vars` alone: variable `j` of the
+    /// result reads input `vars[j]`, and every ON and DC point keeps only
+    /// those coordinates. When `vars` includes the
+    /// [`support`](Self::support), the result is the same function on
+    /// fewer inputs, so a caller that already holds the support projects
+    /// without computing it again. (A projection that drops a support
+    /// variable merges points the function tells apart.)
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use spp_boolfn::BoolFn;
+    ///
+    /// let f = BoolFn::from_truth_fn(5, |x| (x >> 1) & 1 == 1 && (x >> 4) & 1 == 1);
+    /// let support = f.support();
+    /// assert_eq!(f.project(&support), f.project_to_support().0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variable of `vars` is out of range and the ON- or
+    /// DC-set has a point.
+    #[must_use]
+    pub fn project(&self, vars: &[usize]) -> BoolFn {
         let project = |set: &[Gf2Vec]| -> Vec<Gf2Vec> {
             set.iter()
                 .map(|p| {
-                    let mut q = Gf2Vec::zeros(support.len());
-                    for (j, &v) in support.iter().enumerate() {
+                    let mut q = Gf2Vec::zeros(vars.len());
+                    for (j, &v) in vars.iter().enumerate() {
                         q.set(j, p.get(v));
                     }
                     q
                 })
                 .collect()
         };
-        let g = BoolFn::with_dont_cares(support.len(), project(&self.on), project(&self.dc));
-        (g, support)
+        BoolFn::with_dont_cares(vars.len(), project(&self.on), project(&self.dc))
     }
 
     /// Restricts the function to another variable count by an injective

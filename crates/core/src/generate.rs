@@ -204,8 +204,6 @@ pub struct GenLimits {
     pub max_pseudocubes: usize,
     /// Stop when a single degree level exceeds this size.
     pub max_level_size: usize,
-    /// Wall-clock budget, if any.
-    pub time_limit: Option<Duration>,
     /// Worker threads for the union sweep. The default resolves to the
     /// available cores (`SPP_THREADS` overrides);
     /// [`Parallelism::sequential`] recovers the single-threaded code path
@@ -220,7 +218,6 @@ impl Default for GenLimits {
         GenLimits {
             max_pseudocubes: 600_000,
             max_level_size: 400_000,
-            time_limit: None,
             parallelism: Parallelism::AUTO,
         }
     }
@@ -238,13 +235,6 @@ impl GenLimits {
     #[must_use]
     pub fn with_max_level_size(mut self, max: usize) -> Self {
         self.max_level_size = max;
-        self
-    }
-
-    /// Sets (or clears) the wall-clock budget.
-    #[must_use]
-    pub fn with_time_limit(mut self, limit: Option<Duration>) -> Self {
-        self.time_limit = limit;
         self
     }
 
@@ -352,7 +342,6 @@ pub(crate) fn generate_eppp_session_capture(
     mut capture: Option<&mut LevelCapture>,
 ) -> EpppSet {
     let n = f.num_vars();
-    let ctx = ctx.clone().cap_deadline(limits.time_limit.map(|d| Instant::now() + d));
     let threads = limits.parallelism.threads();
     let mut level: Vec<Pseudocube> = f
         .on_set()
@@ -419,7 +408,7 @@ pub(crate) fn generate_eppp_session_capture(
         let union_cap = limits
             .max_level_size
             .min(limits.max_pseudocubes.saturating_sub(stats.total_generated));
-        let outcome = sweep_level(&level, grouping, threads, union_cap, &ctx, conforming);
+        let outcome = sweep_level(&level, grouping, threads, union_cap, ctx, conforming);
         let mut discarded = outcome.discarded;
         if outcome.truncated {
             stats.truncated = true;
@@ -1258,12 +1247,11 @@ mod tests {
                 );
             }
         }
-        // A zero deadline truncates before any sweep; coverage still holds
-        // and the stop cause is recorded.
-        let limits = GenLimits::default()
-            .with_time_limit(Some(Duration::ZERO))
-            .with_parallelism(Parallelism::fixed(4));
-        let eppp = generate(&f, Grouping::PartitionTrie, &limits);
+        // An expired run deadline truncates before any sweep; coverage
+        // still holds and the stop cause is recorded.
+        let ctx = RunCtx::new().with_deadline_in(Duration::ZERO);
+        let limits = GenLimits::default().with_parallelism(Parallelism::fixed(4));
+        let eppp = generate_eppp_session(&f, Grouping::PartitionTrie, &limits, &|_| true, &ctx);
         assert!(eppp.stats.truncated);
         assert_eq!(eppp.stats.outcome, Outcome::DeadlineExceeded);
         for pt in f.on_set() {

@@ -71,9 +71,6 @@ pub(crate) fn heuristic_from_cover_session(
         return Err(SppError::HeuristicK { k, n });
     }
     let phase_start = std::time::Instant::now();
-    let ctx = ctx
-        .clone()
-        .cap_deadline(options.gen_limits.time_limit.map(|d| phase_start + d));
 
     // The seed must be a cover of implicants, or the result could not
     // realize f.
@@ -173,7 +170,7 @@ pub(crate) fn heuristic_from_cover_session(
                 Grouping::PartitionTrie,
                 threads,
                 options.gen_limits.max_pseudocubes.saturating_sub(generated),
-                &ctx,
+                ctx,
                 &|_| true,
             )
         };
@@ -245,7 +242,7 @@ pub(crate) fn heuristic_from_cover_session(
         &retained,
         &options.cover_limits,
         options.gen_limits.parallelism,
-        &ctx,
+        ctx,
     );
     outcome = outcome.merge(cover_outcome);
     let cover_elapsed = cover_start.elapsed();

@@ -99,7 +99,7 @@ pub use request::{
     execute, execute_fns, ErrorFrame, ExecEnv, Executed, MinimizeMode, MinimizeRequest,
     MinimizeResponse, OutputReport, Priority, WireErrorKind, SCHEMA_VERSION,
 };
-pub use session::{Minimizer, MultiMinimizer};
+pub use session::{Minimizer, MultiMinimizer, Session};
 pub use spp_cache::{CacheConfig, CacheStats, FsyncPolicy};
 pub use spp_obs::{
     CancelToken, Event, EventSink, Fault, Form, JsonLinesSink, NullSink, Outcome,

@@ -6,7 +6,7 @@ use spp_boolfn::BoolFn;
 use spp_cover::{solve_auto_warm, CoverProblem, CoverSolution};
 use spp_obs::{Event, Fault, Outcome, Phase, RunCtx, Rung};
 
-use crate::runner::sp_backstop;
+use crate::runner::{sp_as_spp, sp_floor};
 use crate::{EpppSet, GenLimits, GenStats, Grouping, Pseudocube, SppCache, SppForm};
 
 /// Configuration of the SPP minimizers.
@@ -179,10 +179,10 @@ pub(crate) fn exact_session_cached(
 /// A truncated run may have lost the high-degree pseudoproducts the
 /// minimum needs. Cubes are pseudoproducts, so folding in the SP prime
 /// implicants — and, since junk-heavy truncated pools can mislead the
-/// greedy cover, never returning worse than the SP backstop — keeps the
+/// greedy cover, never returning worse than the SP floor — keeps the
 /// guarantee that an SPP form is never worse than the SP form ("in the
 /// worst case, SP and SPP forms coincide" — paper §1) even under a
-/// budget.
+/// budget. A stopped run's floor is the greedy SP cover.
 pub(crate) fn cover_phase(
     f: &BoolFn,
     eppp: EpppSet,
@@ -226,7 +226,7 @@ pub(crate) fn cover_phase(
     );
     let outcome = eppp.stats.outcome.merge(cover_outcome);
     if let Some(primes) = &primes {
-        let sp = sp_backstop(f, primes, &options.cover_limits);
+        let sp = sp_as_spp(&sp_floor(f, primes, &options.cover_limits, ctx).0.form);
         if sp.literal_count() < form.literal_count() {
             form = sp;
         }

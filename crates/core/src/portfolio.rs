@@ -29,7 +29,7 @@ use spp_boolfn::BoolFn;
 use spp_dsop::DsopForm;
 use spp_esop::{EsopForm, EsopLimits};
 use spp_obs::{Form, Outcome, Rung};
-use spp_sp::{SpForm, SpMinResult};
+use spp_sp::SpForm;
 
 use crate::runner::{Answer, Policy};
 use crate::session::Minimizer;
@@ -424,7 +424,7 @@ impl Minimizer<'_> {
                         (r.form.cubes().to_vec(), r.optimal, r.outcome)
                     }
                     _ => {
-                        let (sp, outcome) = self.sop();
+                        let (sp, outcome) = self.sp_floor();
                         (sp.form.cubes().to_vec(), sp.optimal, outcome)
                     }
                 };
@@ -442,13 +442,6 @@ impl Minimizer<'_> {
             _ => (FormRealization::Sop(SpForm::new(n, cubes)), Rung::Sop),
         };
         FormAnswer { realization, optimal, outcome, rung }
-    }
-
-    /// The SP minimum of `f` and the session's stop reason after it: the
-    /// SOP entrant and the race's backstop.
-    fn sop(&self) -> (SpMinResult, Outcome) {
-        let sp = spp_sp::minimize_sp(self.f, &self.options.cover_limits);
-        (sp, self.ctx.stop_reason().unwrap_or_default())
     }
 }
 
@@ -471,7 +464,7 @@ impl Answer for FormAnswer {
     }
 
     fn backstop(m: &Minimizer<'_>) -> Self {
-        let (sp, outcome) = m.sop();
+        let (sp, outcome) = m.sp_floor();
         // The backstop never proves optimality (and a *governed* SOP
         // entrant that lost verification would not have either).
         let realization = FormRealization::Sop(sp.form);

@@ -25,7 +25,7 @@ use spp_obs::{CancelToken, EventSink, Form, Outcome, RunCtx, Rung};
 use spp_par::Parallelism;
 
 use crate::portfolio::{FormAnswer, CUBE_FORM_MAX_INPUTS};
-use crate::runner::sp_backstop;
+use crate::runner::{sp_as_spp, sp_floor};
 use crate::{
     FormPortfolio, FormRealization, Grouping, Minimizer, MultiMinimizer, Objective,
     PortfolioReport, SppCache, SppError, SppForm, SppMinResult, SppOptions,
@@ -1043,11 +1043,14 @@ pub fn execute_fns(
         form: realization.to_string(),
     };
     // A run-control stop (deadline, cancellation, memory) can truncate a
-    // form mid-search. The SP backstop is always realizable and needs no
-    // pseudocube generation, so a stopped request still answers with a
-    // verified best-so-far form — the drain contract of `spp serve`.
-    let backstop =
-        |f: &BoolFn| sp_backstop(f, &spp_sp::prime_implicants(f), &options.cover_limits);
+    // form mid-search. The SP floor is always realizable, needs no
+    // pseudocube generation and runs on the request's clock, so a stopped
+    // request still answers in time with a verified best-so-far form —
+    // the drain contract of `spp serve`.
+    let backstop = |f: &BoolFn, ctx: &RunCtx| {
+        let primes = spp_sp::prime_implicants(f);
+        sp_as_spp(&sp_floor(f, &primes, &options.cover_limits, ctx).0.form)
+    };
 
     let mut forms = Vec::with_capacity(outputs.len());
     let mut realizations = Vec::with_capacity(outputs.len());
@@ -1060,7 +1063,7 @@ pub fn execute_fns(
     let mut verified = true;
     if shared {
         let cache = env.cache.clone();
-        let m = MultiMinimizer { outputs, options: options.clone(), ctx: ctx(), cache };
+        let m = MultiMinimizer { f: outputs, options: options.clone(), ctx: ctx(), cache };
         let r = m.run().map_err(error)?;
         forms = r.forms;
         outcome = r.outcome;
@@ -1069,7 +1072,7 @@ pub fn execute_fns(
         if r.outcome != Outcome::Completed {
             for (form, f) in forms.iter_mut().zip(outputs) {
                 if form.check_realizes(f).is_err() {
-                    *form = backstop(f);
+                    *form = backstop(f, &m.ctx);
                     rung = Rung::Sop;
                     optimal = false;
                 }
@@ -1094,8 +1097,8 @@ pub fn execute_fns(
             // inputs. Constant and full-support functions run as declared.
             let support = f.support();
             let projected = (!support.is_empty() && support.len() < f.num_vars())
-                .then(|| f.project_to_support());
-            let g = projected.as_ref().map_or(f, |(g, _)| g);
+                .then(|| f.project(&support));
+            let g = projected.as_ref().unwrap_or(f);
             let m = Minimizer {
                 f: g,
                 options: options.clone(),
@@ -1104,7 +1107,7 @@ pub fn execute_fns(
             };
             let spp = |mut r: SppMinResult| {
                 if r.outcome != Outcome::Completed && r.form.check_realizes(g).is_err() {
-                    r.form = backstop(g);
+                    r.form = backstop(g, &m.ctx);
                     r.rung = Rung::Sop;
                     r.optimal = false;
                 }
@@ -1130,16 +1133,16 @@ pub fn execute_fns(
                     spp(m.run_heuristic(k).map_err(error)?)
                 }
                 MinimizeMode::Restricted(w) => spp(m.run_restricted(w).map_err(error)?),
-                // Plain SP runs no session: no events, and never degraded.
-                MinimizeMode::Sop => FormAnswer {
-                    realization: FormRealization::Spp(backstop(g)),
-                    optimal: false,
-                    outcome: Outcome::Completed,
-                    rung: Rung::Sop,
-                },
+                // Plain SP is the SP floor alone: no events, no memory
+                // account, greedy once the deadline has passed.
+                MinimizeMode::Sop => {
+                    let (sp, outcome) = m.sp_floor();
+                    let realization = FormRealization::Spp(sp_as_spp(&sp.form));
+                    FormAnswer { realization, optimal: false, outcome, rung: Rung::Sop }
+                }
             };
-            if let Some((_, vars)) = &projected {
-                answer.realization = answer.realization.lift(f.num_vars(), vars);
+            if projected.is_some() {
+                answer.realization = answer.realization.lift(f.num_vars(), &support);
             }
             outcome = outcome.merge(answer.outcome);
             rung = rung.max(answer.rung);

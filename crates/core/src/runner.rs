@@ -1,12 +1,13 @@
 //! The one entrant runner behind the rung ladder
 //! ([`Minimizer::run_governed`]) and the form race
-//! ([`Minimizer::run_portfolio`]), and the SP backstop every path ends
-//! in: "in the worst case, SP and SPP forms coincide" (paper §1).
+//! ([`Minimizer::run_portfolio`]), and the SP floor every path ends in:
+//! "in the worst case, SP and SPP forms coincide" (paper §1).
 
 use std::time::{Duration, Instant};
 
 use spp_boolfn::{BoolFn, Cube};
-use spp_obs::{Event, Form, Outcome, Rung};
+use spp_obs::{Event, Form, Outcome, RunCtx, Rung};
+use spp_sp::{SpForm, SpMinResult};
 
 use crate::{Minimizer, Pseudocube, SppForm};
 
@@ -70,15 +71,40 @@ pub(crate) struct Lap<E> {
     pub(crate) accepted: bool,
 }
 
-/// The SP backstop as an SPP form: the SP minimum of `f` over its prime
-/// implicants `primes`, each cube a pseudoproduct. It generates no
-/// pseudocube, so it fits any budget.
-pub(crate) fn sp_backstop(f: &BoolFn, primes: &[Cube], limits: &spp_cover::Limits) -> SppForm {
-    let sp = spp_sp::cover_primes(f, primes, limits);
-    SppForm::new(f.num_vars(), sp.form.cubes().iter().map(Pseudocube::from_cube).collect())
+/// The SP floor: the SP minimum of `f` over its prime implicants
+/// `primes`, and `ctx`'s stop reason after it. The cover runs on `ctx`'s
+/// clock alone ([`RunCtx::clock`]), so it is greedy once the deadline has
+/// passed or the token is cancelled; it emits no event and charges no
+/// memory account. It generates no pseudocube, so it fits any budget.
+pub(crate) fn sp_floor(
+    f: &BoolFn,
+    primes: &[Cube],
+    limits: &spp_cover::Limits,
+    ctx: &RunCtx,
+) -> (SpMinResult, Outcome) {
+    let mut limits = limits.clone();
+    if ctx.stop_reason().is_some() {
+        // A stopped run gets the greedy cover outright. The clock cannot
+        // see a blown hard memory budget, but a run that blew it has
+        // stopped as surely as one past its deadline.
+        limits.max_exact_columns = 0;
+    }
+    let sp = spp_sp::cover_primes(f, primes, &limits, &ctx.clock());
+    (sp, ctx.stop_reason().unwrap_or_default())
+}
+
+/// An SP form as an SPP form, each cube a pseudoproduct.
+pub(crate) fn sp_as_spp(form: &SpForm) -> SppForm {
+    SppForm::new(form.num_vars(), form.cubes().iter().map(Pseudocube::from_cube).collect())
 }
 
 impl Minimizer<'_> {
+    /// The [`sp_floor`] of the session's function, on its clock.
+    pub(crate) fn sp_floor(&self) -> (SpMinResult, Outcome) {
+        let primes = spp_sp::prime_implicants(self.f);
+        sp_floor(self.f, &primes, &self.options.cover_limits, &self.ctx)
+    }
+
     /// Runs `entrants` in order and answers under `policy`, ending in the
     /// SP backstop when no entrant is accepted. Each entrant gets a fresh
     /// byte account (one entrant's spike must not disqualify the next)

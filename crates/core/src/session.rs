@@ -1,8 +1,8 @@
-//! The unified builder-style session API: [`Minimizer`] and
-//! [`MultiMinimizer`].
+//! The unified builder-style session API: [`Session`], seen as
+//! [`Minimizer`] and [`MultiMinimizer`].
 //!
-//! Every minimization entry point of the workspace funnels through one of
-//! these two builders, which own the algorithm configuration
+//! Every minimization entry point of the workspace funnels through this
+//! one builder, which owns the algorithm configuration
 //! ([`SppOptions`]) *and* the run control ([`RunCtx`]: deadline,
 //! cancellation, progress events). The serve daemon and the CLI reach
 //! them through the transport-neutral [`crate::MinimizeRequest`] /
@@ -21,21 +21,31 @@ use crate::heuristic::{heuristic_from_cover_session, heuristic_session};
 use crate::minimize::exact_session_cached;
 use crate::multi::multi_session_cached;
 use crate::restricted::restricted_session;
-use crate::runner::{sp_backstop, Answer, Policy};
+use crate::runner::{sp_as_spp, Answer, Policy};
 use crate::{
     EpppSet, GenLimits, GenStats, Grouping, MultiSppResult, Pseudocube, SppCache, SppError,
     SppMinResult, SppOptions,
 };
 
-/// A configured single-output minimization session — the front door of the
-/// crate.
+/// A configured minimization session on `f`, a [`BoolFn`] or a slice of
+/// them: the one builder behind [`Minimizer`] and [`MultiMinimizer`].
 ///
 /// Build one per run: algorithm knobs (`grouping`, `limits`,
 /// `cover_limits`, `threads`) and run control (`deadline`, `cancel_token`,
-/// `on_event`) chain fluently, then one of the `run_*` / `generate`
-/// methods executes. On deadline or cancellation every phase unwinds to a
-/// valid best-so-far form and the cause is recorded in the result's
-/// `outcome`.
+/// `mem_budget`, `on_event`) chain fluently, then one of the `run_*` /
+/// `generate` methods executes. The run's deadline is its only clock: on
+/// deadline or cancellation every phase unwinds to a valid best-so-far
+/// form and the cause is recorded in the result's `outcome`.
+#[derive(Debug)]
+pub struct Session<'f, I: ?Sized> {
+    pub(crate) f: &'f I,
+    pub(crate) options: SppOptions,
+    pub(crate) ctx: RunCtx,
+    pub(crate) cache: Option<SppCache>,
+}
+
+/// A configured single-output minimization session — the front door of the
+/// crate. Its builder methods are [`Session`]'s.
 ///
 /// # Examples
 ///
@@ -53,19 +63,44 @@ use crate::{
 /// assert_eq!(r.outcome, Outcome::Completed);
 /// assert_eq!(r.literal_count(), 4);
 /// ```
-#[derive(Clone, Debug)]
-pub struct Minimizer<'f> {
-    pub(crate) f: &'f BoolFn,
-    pub(crate) options: SppOptions,
-    pub(crate) ctx: RunCtx,
-    pub(crate) cache: Option<SppCache>,
+pub type Minimizer<'f> = Session<'f, BoolFn>;
+
+/// A configured multi-output minimization session: per-output EPPP
+/// generation plus one shared covering problem in which each chosen
+/// pseudoproduct's literals are paid once. Its builder methods are
+/// [`Session`]'s.
+///
+/// # Examples
+///
+/// ```
+/// use spp_boolfn::BoolFn;
+/// use spp_core::MultiMinimizer;
+///
+/// let f0 = BoolFn::from_truth_fn(3, |x| (x ^ (x >> 1)) & 1 == 1);
+/// let f1 = BoolFn::from_truth_fn(3, |x| (x ^ (x >> 1)) & 1 == 1 && x & 0b100 != 0);
+/// let r = MultiMinimizer::new(&[f0.clone(), f1.clone()]).run().unwrap();
+/// assert!(r.forms[0].check_realizes(&f0).is_ok());
+/// assert!(r.shared_literal_count <= r.separate_literal_count());
+/// ```
+pub type MultiMinimizer<'f> = Session<'f, [BoolFn]>;
+
+// Not derived: a derive would require `I: Clone`, which `[BoolFn]` is not.
+impl<I: ?Sized> Clone for Session<'_, I> {
+    fn clone(&self) -> Self {
+        Session {
+            f: self.f,
+            options: self.options.clone(),
+            ctx: self.ctx.clone(),
+            cache: self.cache.clone(),
+        }
+    }
 }
 
-impl<'f> Minimizer<'f> {
+impl<'f, I: ?Sized> Session<'f, I> {
     /// Starts a session on `f` with default options and no run control.
     #[must_use]
-    pub fn new(f: &'f BoolFn) -> Self {
-        Minimizer { f, options: SppOptions::default(), ctx: RunCtx::default(), cache: None }
+    pub fn new(f: &'f I) -> Self {
+        Session { f, options: SppOptions::default(), ctx: RunCtx::default(), cache: None }
     }
 
     /// Replaces the whole option block at once.
@@ -96,8 +131,8 @@ impl<'f> Minimizer<'f> {
         self
     }
 
-    /// Caps the whole run (all phases together) to `budget` from now.
-    /// Tighter per-phase `time_limit`s still apply.
+    /// Caps the whole run (every output and phase, the SP floor
+    /// included) to `budget` from now.
     #[must_use]
     pub fn deadline(self, budget: Duration) -> Self {
         self.deadline_at(Instant::now() + budget)
@@ -138,7 +173,7 @@ impl<'f> Minimizer<'f> {
     /// truncates, the covering step skips its exact refinement); a blown
     /// `hard` budget stops phases like a deadline, with
     /// [`Outcome::MemoryExceeded`] — and makes
-    /// [`run_governed`](Self::run_governed) descend the ladder.
+    /// [`Minimizer::run_governed`] descend the ladder.
     #[must_use]
     pub fn mem_budget(mut self, soft: Option<u64>, hard: Option<u64>) -> Self {
         self.ctx = self.ctx.with_mem_budget(soft, hard);
@@ -153,9 +188,11 @@ impl<'f> Minimizer<'f> {
     }
 
     /// Attaches a cross-call result cache (see [`SppCache`]): a verified
-    /// result hit skips both phases, a cached EPPP set skips generation,
-    /// and sibling results warm-start the covering search. Clones of one
-    /// cache share a store, so many sessions can feed each other.
+    /// result hit skips both phases (for several outputs, a verified
+    /// whole-circuit hit skips everything), a cached EPPP set skips that
+    /// function's generation, and sibling results warm-start the covering
+    /// search. Clones of one cache share a store, so many sessions can
+    /// feed each other.
     #[must_use]
     pub fn cache(mut self, cache: SppCache) -> Self {
         self.cache = Some(cache);
@@ -168,7 +205,9 @@ impl<'f> Minimizer<'f> {
     pub fn run_ctx(&self) -> &RunCtx {
         &self.ctx
     }
+}
 
+impl Minimizer<'_> {
     /// Generates the EPPP candidate set (Algorithm 2 steps 1–2) without
     /// covering: successive unions of same-structure pseudocubes starting
     /// from single points, where a pseudocube with `h` literals is
@@ -327,7 +366,8 @@ impl Answer for SppMinResult {
 
     fn backstop(m: &Minimizer<'_>) -> Self {
         let start = Instant::now();
-        let form = sp_backstop(m.f, &spp_sp::prime_implicants(m.f), &m.options.cover_limits);
+        let (sp, outcome) = m.sp_floor();
+        let form = sp_as_spp(&sp.form);
         SppMinResult {
             num_candidates: form.num_pseudoproducts(),
             form,
@@ -336,130 +376,14 @@ impl Answer for SppMinResult {
             gen_stats: GenStats::default(),
             gen_elapsed: start.elapsed(),
             cover_elapsed: Duration::ZERO,
-            outcome: m.ctx.stop_reason().unwrap_or_default(),
+            outcome,
             rung: Rung::Sop,
             faults: m.ctx.faults(),
         }
     }
 }
 
-/// A configured multi-output minimization session: per-output EPPP
-/// generation plus one shared covering problem in which each chosen
-/// pseudoproduct's literals are paid once.
-///
-/// # Examples
-///
-/// ```
-/// use spp_boolfn::BoolFn;
-/// use spp_core::MultiMinimizer;
-///
-/// let f0 = BoolFn::from_truth_fn(3, |x| (x ^ (x >> 1)) & 1 == 1);
-/// let f1 = BoolFn::from_truth_fn(3, |x| (x ^ (x >> 1)) & 1 == 1 && x & 0b100 != 0);
-/// let r = MultiMinimizer::new(&[f0.clone(), f1.clone()]).run().unwrap();
-/// assert!(r.forms[0].check_realizes(&f0).is_ok());
-/// assert!(r.shared_literal_count <= r.separate_literal_count());
-/// ```
-#[derive(Clone, Debug)]
-pub struct MultiMinimizer<'f> {
-    pub(crate) outputs: &'f [BoolFn],
-    pub(crate) options: SppOptions,
-    pub(crate) ctx: RunCtx,
-    pub(crate) cache: Option<SppCache>,
-}
-
-impl<'f> MultiMinimizer<'f> {
-    /// Starts a session on `outputs` with default options and no run
-    /// control.
-    #[must_use]
-    pub fn new(outputs: &'f [BoolFn]) -> Self {
-        MultiMinimizer {
-            outputs,
-            options: SppOptions::default(),
-            ctx: RunCtx::default(),
-            cache: None,
-        }
-    }
-
-    /// Replaces the whole option block at once.
-    #[must_use]
-    pub fn options(mut self, options: SppOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Sets the structure-grouping strategy for candidate generation.
-    #[must_use]
-    pub fn grouping(mut self, grouping: Grouping) -> Self {
-        self.options.grouping = grouping;
-        self
-    }
-
-    /// Sets the generation budget.
-    #[must_use]
-    pub fn limits(mut self, limits: GenLimits) -> Self {
-        self.options.gen_limits = limits;
-        self
-    }
-
-    /// Sets the covering budget.
-    #[must_use]
-    pub fn cover_limits(mut self, limits: spp_cover::Limits) -> Self {
-        self.options.cover_limits = limits;
-        self
-    }
-
-    /// Caps the whole run (all outputs, all phases) to `budget` from now.
-    #[must_use]
-    pub fn deadline(mut self, budget: Duration) -> Self {
-        self.ctx = self.ctx.cap_deadline(Some(Instant::now() + budget));
-        self
-    }
-
-    /// Uses exactly `n` worker threads.
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.options.gen_limits.parallelism = Parallelism::fixed(n);
-        self
-    }
-
-    /// Sets the full worker-thread policy.
-    #[must_use]
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.options.gen_limits.parallelism = parallelism;
-        self
-    }
-
-    /// Installs a cancellation token.
-    #[must_use]
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.ctx = self.ctx.with_cancel(token);
-        self
-    }
-
-    /// Sets the session's memory-accounting budgets, in bytes (see
-    /// [`Minimizer::mem_budget`]).
-    #[must_use]
-    pub fn mem_budget(mut self, soft: Option<u64>, hard: Option<u64>) -> Self {
-        self.ctx = self.ctx.with_mem_budget(soft, hard);
-        self
-    }
-
-    /// Installs a progress-event sink.
-    #[must_use]
-    pub fn on_event(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.ctx = self.ctx.with_sink(sink);
-        self
-    }
-
-    /// Attaches a cross-call result cache: a verified whole-circuit hit
-    /// skips everything, and per-output EPPP hits skip that output's
-    /// generation (see [`Minimizer::cache`]).
-    #[must_use]
-    pub fn cache(mut self, cache: SppCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
+impl MultiMinimizer<'_> {
     /// Runs the shared-term multi-output minimization.
     ///
     /// # Errors
@@ -468,7 +392,7 @@ impl<'f> MultiMinimizer<'f> {
     /// [`SppError::MixedVariableCounts`] when outputs disagree on the
     /// variable count.
     pub fn run(&self) -> Result<MultiSppResult, SppError> {
-        multi_session_cached(self.outputs, &self.options, &self.ctx, self.cache.as_ref())
+        multi_session_cached(self.f, &self.options, &self.ctx, self.cache.as_ref())
     }
 }
 

@@ -12,7 +12,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::time::Instant;
 
 use spp_obs::{Event, Outcome, RunCtx};
 
@@ -355,7 +354,7 @@ fn prepare_root(root: &mut Worker) -> Option<Vec<(u64, u32)>> {
 }
 
 /// Solves a covering instance to proven optimality with branch & bound, as
-/// long as the node/time budget in `limits` suffices; otherwise returns the
+/// long as the node budget in `limits` suffices; otherwise returns the
 /// best cover found with `optimal == false`. Runs on
 /// [`Limits::parallelism`] worker threads; the result does not depend on
 /// the thread count.
@@ -415,7 +414,6 @@ pub fn solve_exact_ctx(
 ) -> (CoverSolution, Outcome) {
     assert!(!problem.has_uncoverable_row(), "covering instance is infeasible");
     let seed = warm_start.cloned().unwrap_or_else(|| crate::solve_greedy(problem));
-    let ctx = ctx.clone().cap_deadline(limits.time_limit.map(|d| Instant::now() + d));
 
     // The root is node 1. If the context has already expired, the warm
     // start *is* the verified incumbent.
@@ -430,7 +428,7 @@ pub fn solve_exact_ctx(
         problem,
         index: &index,
         limits,
-        ctx: &ctx,
+        ctx,
         bound: AtomicU64::new(pack(seed.cost, 0)),
         nodes: AtomicU64::new(1),
         stop: AtomicU8::new(RUNNING),

@@ -15,7 +15,8 @@
 //!   resorts to covering heuristics and reports upper bounds);
 //! - [`solve_exact`]: branch & bound with essential-column selection,
 //!   row/column dominance reductions and an independent-set lower bound,
-//!   under a configurable node/time budget;
+//!   under a configurable node budget ([`solve_exact_ctx`] also stops at
+//!   its run's deadline or cancel);
 //! - [`solve_auto`]: greedy first, then exact refinement when the instance
 //!   is within budget.
 //!

@@ -1,7 +1,6 @@
 //! The covering problem and solution types.
 
 use std::fmt;
-use std::time::Duration;
 
 use crate::BitSet;
 
@@ -203,7 +202,6 @@ impl fmt::Display for CoverSolution {
 ///
 /// let limits = Limits::default()
 ///     .with_max_nodes(50_000)
-///     .with_time_limit(None)
 ///     .with_parallelism(spp_par::Parallelism::fixed(4));
 /// assert_eq!(limits.max_nodes, 50_000);
 /// ```
@@ -213,8 +211,6 @@ pub struct Limits {
     /// Maximum branch & bound nodes explored before giving up on proving
     /// optimality (shared across all workers).
     pub max_nodes: u64,
-    /// Wall-clock budget for the exact solver, if any.
-    pub time_limit: Option<Duration>,
     /// [`solve_auto`](crate::solve_auto) only attempts the exact solver when
     /// the instance has at most this many columns.
     pub max_exact_columns: usize,
@@ -225,13 +221,14 @@ pub struct Limits {
 }
 
 impl Default for Limits {
-    /// A budget suited to interactive use: 2 million nodes, a 10-second
-    /// wall-clock cap, exact solving up to 20 000 columns, sequential
-    /// search (callers opt in to threads explicitly).
+    /// A budget suited to interactive use: 2 million nodes, exact
+    /// solving up to 20 000 columns, sequential search (callers opt in to
+    /// threads explicitly). The node cap is the only budget: wall time is
+    /// bounded by the run's deadline (see
+    /// [`solve_exact_ctx`](crate::solve_exact_ctx)), never here.
     fn default() -> Self {
         Limits {
             max_nodes: 2_000_000,
-            time_limit: Some(Duration::from_secs(10)),
             max_exact_columns: 20_000,
             parallelism: spp_par::Parallelism::sequential(),
         }
@@ -243,13 +240,6 @@ impl Limits {
     #[must_use]
     pub fn with_max_nodes(mut self, max_nodes: u64) -> Self {
         self.max_nodes = max_nodes;
-        self
-    }
-
-    /// Sets (or clears) the exact solver's wall-clock budget.
-    #[must_use]
-    pub fn with_time_limit(mut self, time_limit: Option<Duration>) -> Self {
-        self.time_limit = time_limit;
         self
     }
 
@@ -335,7 +325,6 @@ mod tests {
         let l = Limits::default();
         assert!(l.max_nodes > 0);
         assert!(l.max_exact_columns > 0);
-        assert!(l.time_limit.is_some());
         assert!(l.parallelism.is_sequential());
     }
 
@@ -343,14 +332,10 @@ mod tests {
     fn limit_builders_set_each_knob() {
         let l = Limits::default()
             .with_max_nodes(7)
-            .with_time_limit(Some(Duration::from_millis(5)))
             .with_max_exact_columns(9)
             .with_parallelism(spp_par::Parallelism::fixed(3));
         assert_eq!(l.max_nodes, 7);
-        assert_eq!(l.time_limit, Some(Duration::from_millis(5)));
         assert_eq!(l.max_exact_columns, 9);
         assert_eq!(l.parallelism.threads(), 3);
-        let l = l.with_time_limit(None);
-        assert_eq!(l.time_limit, None);
     }
 }

@@ -9,7 +9,7 @@
 //! The entry point is [`minimize_dsop`], following Bernasconi, Ciriani,
 //! Luccio and Pagli ("Compact DSOP and partial DSOP Forms"): select a
 //! small SOP cover with the existing covering engine
-//! ([`spp_sp::minimize_sp`]), then make it disjoint by *disjoint
+//! ([`spp_sp::cover_primes`]), then make it disjoint by *disjoint
 //! sharp* — each product, taken largest first, is split against the
 //! already-accepted products into fragments that miss them.
 
@@ -32,8 +32,9 @@ pub struct DsopMinResult {
     /// Always `false`: the construction is a heuristic; DSOP minimality
     /// is not proved.
     pub optimal: bool,
-    /// How the run ended. The covering step may degrade under its own
-    /// limits; splitting itself is polynomial and always finishes.
+    /// How the run ended. The covering step runs on the context's clock
+    /// and is greedy once it has stopped; splitting itself is polynomial
+    /// and always finishes.
     pub outcome: spp_obs::Outcome,
 }
 
@@ -47,7 +48,9 @@ impl DsopMinResult {
 
 /// Minimizes `f` as a DSOP: a covering-engine SOP selection followed by
 /// deterministic disjoint-sharp splitting (largest products first, ties
-/// broken on the cube encoding).
+/// broken on the cube encoding). The SOP cover runs on `ctx`'s clock alone
+/// ([`RunCtx::clock`]): it stops at the deadline or on a cancel, and
+/// emits no event.
 ///
 /// The result always realizes `f` — splitting preserves the covered set
 /// exactly, and fragments inherit their parent's ON/DC-only points.
@@ -72,7 +75,7 @@ impl DsopMinResult {
 /// Panics if `f.num_vars() > 24` (prime generation expands minterms).
 #[must_use]
 pub fn minimize_dsop(f: &BoolFn, limits: &spp_cover::Limits, ctx: &RunCtx) -> DsopMinResult {
-    let sp = spp_sp::minimize_sp(f, limits);
+    let sp = spp_sp::cover_primes(f, &spp_sp::prime_implicants(f), limits, &ctx.clock());
 
     // Largest cubes (fewest literals) first keeps the big products whole
     // and splinters only the small ones; the full key fixes the order.

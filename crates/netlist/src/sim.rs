@@ -151,8 +151,7 @@ mod tests {
             .limits(
                 spp_core::GenLimits::default()
                     .with_max_pseudocubes(5_000)
-                    .with_max_level_size(4_000)
-                    .with_time_limit(None),
+                    .with_max_level_size(4_000),
             )
             .run_exact()
             .form;

@@ -1145,8 +1145,7 @@ impl RunCtx {
     }
 
     /// Tightens the deadline to `min(current, other)`; `None` leaves it
-    /// unchanged. Phases use this to fold per-phase time budgets into the
-    /// session deadline.
+    /// unchanged, so a session's deadline can only move earlier.
     #[must_use]
     pub fn cap_deadline(mut self, other: Option<Instant>) -> Self {
         self.deadline = match (self.deadline, other) {
@@ -1154,6 +1153,16 @@ impl RunCtx {
             (a, b) => a.or(b),
         };
         self
+    }
+
+    /// A view of this context's clock alone: the same deadline and cancel
+    /// token, with the null sink, an unbounded governor and a fault
+    /// journal of its own. A step run on it stops at the deadline or on a
+    /// cancel, but emits no event and charges no memory account, so the
+    /// floor a blown memory budget descends to stays reachable.
+    #[must_use]
+    pub fn clock(&self) -> RunCtx {
+        RunCtx { deadline: self.deadline, cancel: self.cancel.clone(), ..RunCtx::default() }
     }
 
     /// The effective deadline, if any.
@@ -1838,6 +1847,20 @@ mod tests {
         assert_eq!(ctx.deadline(), Some(near));
         let ctx = RunCtx::new().cap_deadline(None);
         assert_eq!(ctx.deadline(), None);
+    }
+
+    #[test]
+    fn clock_keeps_the_deadline_and_token_only() {
+        let far = Instant::now() + Duration::from_secs(3600);
+        let ctx = RunCtx::new().with_deadline_at(far).with_mem_budget(None, Some(1));
+        ctx.governor().charge(2);
+        let clock = ctx.clock();
+        assert_eq!(ctx.stop_reason(), Some(Outcome::MemoryExceeded));
+        assert_eq!(clock.stop_reason(), None);
+        assert_eq!(clock.deadline(), Some(far));
+        assert!(!clock.governor().is_bounded());
+        ctx.cancel.cancel();
+        assert_eq!(clock.stop_reason(), Some(Outcome::Cancelled));
     }
 
     #[test]

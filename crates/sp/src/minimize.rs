@@ -1,7 +1,8 @@
 //! Minimum-literal SP synthesis.
 
 use spp_boolfn::{BoolFn, Cube};
-use spp_cover::{solve_auto, CoverProblem, Limits};
+use spp_cover::{solve_auto_ctx, CoverProblem, Limits};
+use spp_obs::RunCtx;
 
 use crate::{prime_implicants, SpForm};
 
@@ -30,6 +31,8 @@ impl SpMinResult {
 ///
 /// Like the paper, the covering step may fall back to a heuristic upper
 /// bound on very large instances; `optimal` reports which case occurred.
+/// It runs with no clock: only the node and column caps of `limits`
+/// bound it. [`cover_primes`] runs the same cover on a run's clock.
 ///
 /// # Examples
 ///
@@ -45,29 +48,39 @@ impl SpMinResult {
 /// ```
 #[must_use]
 pub fn minimize_sp(f: &BoolFn, limits: &Limits) -> SpMinResult {
-    cover_primes(f, &prime_implicants(f), limits)
+    cover_primes(f, &prime_implicants(f), limits, &RunCtx::new())
 }
 
 /// The covering step of [`minimize_sp`] on an already generated prime
-/// list, for a caller that needs the primes of `f` for something else
-/// too: Quine–McCluskey then runs once. With
-/// [`prime_implicants(f)`](prime_implicants) the result is exactly
+/// list, run under `ctx` (see [`spp_cover::solve_auto_ctx`]): the cover
+/// emits its events to `ctx`'s sink, and once `ctx`'s deadline has passed
+/// or its token is cancelled it is the greedy cover, never proved
+/// optimal. A caller that needs the primes of `f` for something else too
+/// runs Quine–McCluskey once. With [`prime_implicants(f)`](prime_implicants)
+/// and a context that never stops, the result is exactly
 /// [`minimize_sp`]'s; any list of implicants covering the ON-set gives a
 /// valid form.
 ///
 /// # Examples
 ///
 /// ```
+/// use std::time::Duration;
 /// use spp_boolfn::BoolFn;
+/// use spp_obs::RunCtx;
 /// use spp_sp::{cover_primes, minimize_sp, prime_implicants};
 ///
 /// let maj = BoolFn::from_truth_fn(3, |x| x.count_ones() >= 2);
 /// let limits = spp_cover::Limits::default();
-/// let r = cover_primes(&maj, &prime_implicants(&maj), &limits);
+/// let r = cover_primes(&maj, &prime_implicants(&maj), &limits, &RunCtx::new());
 /// assert_eq!(r.form, minimize_sp(&maj, &limits).form);
+///
+/// // Past the deadline the cover is greedy: still a valid form.
+/// let late = RunCtx::new().with_deadline_in(Duration::ZERO);
+/// let r = cover_primes(&maj, &prime_implicants(&maj), &limits, &late);
+/// assert!(r.form.realizes(&maj) && !r.optimal);
 /// ```
 #[must_use]
-pub fn cover_primes(f: &BoolFn, primes: &[Cube], limits: &Limits) -> SpMinResult {
+pub fn cover_primes(f: &BoolFn, primes: &[Cube], limits: &Limits, ctx: &RunCtx) -> SpMinResult {
     let on = f.on_set();
     let mut problem = CoverProblem::new(on.len());
     for prime in primes {
@@ -81,7 +94,7 @@ pub fn cover_primes(f: &BoolFn, primes: &[Cube], limits: &Limits) -> SpMinResult
         // tautology; give it cost 1 so the covering cost stays positive.
         problem.add_column(&rows, u64::from(prime.literal_count()).max(1));
     }
-    let solution = solve_auto(&problem, limits);
+    let (solution, _) = solve_auto_ctx(&problem, limits, ctx);
     let cubes = solution.columns.iter().map(|&c| primes[c]).collect();
     SpMinResult { form: SpForm::new(f.num_vars(), cubes), num_primes: primes.len(), optimal: solution.optimal }
 }

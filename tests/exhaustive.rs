@@ -47,7 +47,6 @@ fn brute_force_optimum(f: &BoolFn) -> u64 {
     }
     let limits = Limits::default()
         .with_max_nodes(u64::MAX)
-        .with_time_limit(None)
         .with_max_exact_columns(usize::MAX);
     let solution = solve_exact(&problem, &limits, None);
     assert!(solution.optimal, "brute force cover must be exact");
@@ -64,7 +63,6 @@ fn algorithm2_reaches_the_true_optimum_on_all_3var_functions() {
     let options = SppOptions::default().with_cover_limits(
         Limits::default()
             .with_max_nodes(u64::MAX)
-            .with_time_limit(None)
             .with_max_exact_columns(usize::MAX),
     );
     for tt in 1u16..=255 {
@@ -87,7 +85,6 @@ fn algorithm2_reaches_the_true_optimum_on_sampled_4var_functions() {
     let options = SppOptions::default().with_cover_limits(
         Limits::default()
             .with_max_nodes(u64::MAX)
-            .with_time_limit(None)
             .with_max_exact_columns(usize::MAX),
     );
     // A deterministic sample of 4-variable functions with ≤ 9 minterms

@@ -12,7 +12,6 @@ fn options() -> SppOptions {
     SppOptions::default().with_cover_limits(
         Limits::default()
             .with_max_nodes(500_000)
-            .with_time_limit(Some(std::time::Duration::from_secs(5)))
             .with_max_exact_columns(20_000),
     )
 }

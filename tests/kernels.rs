@@ -15,11 +15,8 @@ use spp::kernels::Backend;
 
 fn minimize(name: &str, output: usize, threads: usize) -> SppMinResult {
     let f = registry::circuit(name).unwrap().output_on_support(output);
-    let options = SppOptions::default().with_cover_limits(
-        Limits::default()
-            .with_max_nodes(100_000)
-            .with_time_limit(Some(std::time::Duration::from_secs(10))),
-    );
+    let options =
+        SppOptions::default().with_cover_limits(Limits::default().with_max_nodes(100_000));
     Minimizer::new(&f)
         .options(options)
         .limits(GenLimits::default().with_parallelism(Parallelism::fixed(threads)))

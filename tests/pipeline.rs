@@ -69,8 +69,7 @@ fn spp_never_exceeds_sp_even_under_tiny_budgets() {
     let options = SppOptions::default().with_gen_limits(
         GenLimits::default()
             .with_max_pseudocubes(50)
-            .with_max_level_size(30)
-            .with_time_limit(None),
+            .with_max_level_size(30),
     );
     for j in 0..c.outputs().len() {
         let f = c.output_on_support(j);
@@ -107,8 +106,7 @@ fn every_registered_benchmark_minimizes_one_output() {
     let options = SppOptions::default().with_gen_limits(
         GenLimits::default()
             .with_max_pseudocubes(2_000)
-            .with_max_level_size(1_500)
-            .with_time_limit(Some(std::time::Duration::from_secs(2))),
+            .with_max_level_size(1_500),
     );
     for name in registry::ALL_NAMES {
         let c = registry::circuit(name).unwrap();

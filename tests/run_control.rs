@@ -6,7 +6,9 @@ use std::time::{Duration, Instant};
 
 use spp::benchgen::registry;
 use spp::core::CancelToken;
+use spp::obs::Form;
 use spp::prelude::*;
+use spp::{execute_fns, ExecEnv, MinimizeMode, MinimizeRequest};
 
 /// An already-expired deadline must stop every phase promptly and still
 /// yield a *verified* form for every registry benchmark — the degraded
@@ -167,5 +169,131 @@ fn union_sweep_notices_a_cancel_within_a_few_thousand_unions() {
         r.form.check_realizes(&f).unwrap_or_else(|e| panic!("x{threads}: {e}"));
         let unions = sink.unions.lock().unwrap().expect("the degree-0 sweep finished");
         assert!(unions <= 4096, "x{threads}: {unions} unions after the cancel");
+    }
+}
+
+/// An 11-input function that depends on every input: ON iff bit 13 of
+/// `x · 2654435761 mod 2^32` is set. Its SP cover is the bulk of the
+/// work, so it shows whether the SP floor sees the request's clock.
+fn hash11() -> BoolFn {
+    let f = BoolFn::from_truth_fn(11, |x| ((x * 2_654_435_761) % (1 << 32)) >> 13 & 1 == 1);
+    assert_eq!(f.support().len(), 11);
+    f
+}
+
+/// Runs `req` on `f` through the request front door and checks that the
+/// answer is verified, stopped for `expected`, and arrived within `bound`.
+///
+/// These bounds cover the SP floor only: every stopped run ends in the SP
+/// cover, which runs on the request's clock and is greedy once the
+/// deadline has passed or the token is cancelled. They are not the
+/// 50 ms + 10% deadline contract: generation and cover setup still
+/// overrun a 10 ms deadline by up to a few hundred milliseconds.
+fn assert_stops_in_time(
+    f: &BoolFn,
+    req: &MinimizeRequest,
+    env: &ExecEnv,
+    expected: Outcome,
+    bound: Duration,
+) {
+    let start = Instant::now();
+    let executed =
+        execute_fns(req, std::slice::from_ref(f), &["y".into()], env).expect("request is valid");
+    let wall = start.elapsed();
+    let r = &executed.response;
+    let case = format!("{:?} x{:?}", req.mode, req.threads);
+    assert!(r.verified, "{case}: answer not verified");
+    assert!(
+        executed.realizations[0].realizes(f),
+        "{case}: answer does not realize f"
+    );
+    assert_eq!(r.outcome, expected, "{case}");
+    assert!(
+        wall < bound,
+        "{case}: answered in {wall:?}, bound {bound:?}"
+    );
+}
+
+/// A governed request under a 10 ms deadline answers a full-support
+/// 11-input function well within 2 s, at 1 and 2 threads.
+#[test]
+fn governed_request_answers_hash11_soon_after_its_deadline() {
+    let f = hash11();
+    for threads in [1, 2] {
+        let req = MinimizeRequest::new("hash11", "")
+            .with_threads(threads)
+            .with_deadline_ms(10);
+        let env = ExecEnv::default();
+        assert_stops_in_time(
+            &f,
+            &req,
+            &env,
+            Outcome::DeadlineExceeded,
+            Duration::from_secs(2),
+        );
+    }
+}
+
+/// A governed request cancelled as generation starts answers within 2 s:
+/// the SP floor sees the cancel, not just the phases before it.
+#[test]
+fn governed_request_answers_hash11_soon_after_a_cancel() {
+    let f = hash11();
+    for threads in [1, 2] {
+        let token = CancelToken::new();
+        let sink = std::sync::Arc::new(CancelAtSweep {
+            token: token.clone(),
+            unions: std::sync::Mutex::new(None),
+        });
+        let env = ExecEnv {
+            cancel: Some(token),
+            sink: Some(sink),
+            ..ExecEnv::default()
+        };
+        let req = MinimizeRequest::new("hash11", "").with_threads(threads);
+        assert_stops_in_time(&f, &req, &env, Outcome::Cancelled, Duration::from_secs(2));
+    }
+}
+
+/// Plain SP is the SP floor alone: under a 10 ms deadline it answers
+/// within 1 s and says the deadline stopped it.
+#[test]
+fn sop_mode_answers_hash11_soon_after_its_deadline() {
+    let f = hash11();
+    for threads in [1, 2] {
+        let req = MinimizeRequest::new("sop", "")
+            .with_mode(MinimizeMode::Sop)
+            .with_threads(threads)
+            .with_deadline_ms(10);
+        let env = ExecEnv::default();
+        assert_stops_in_time(
+            &f,
+            &req,
+            &env,
+            Outcome::DeadlineExceeded,
+            Duration::from_secs(1),
+        );
+    }
+}
+
+/// Both entrants of a DSOP-versus-SOP race are SP covers (DSOP splits
+/// one); under a 10 ms deadline the race answers within 1 s.
+#[test]
+fn dsop_sop_race_answers_hash11_soon_after_its_deadline() {
+    let f = hash11();
+    for threads in [1, 2] {
+        let req = MinimizeRequest::new("race", "")
+            .with_mode(MinimizeMode::Portfolio)
+            .with_forms(vec![Form::Dsop, Form::Sop])
+            .with_threads(threads)
+            .with_deadline_ms(10);
+        let env = ExecEnv::default();
+        assert_stops_in_time(
+            &f,
+            &req,
+            &env,
+            Outcome::DeadlineExceeded,
+            Duration::from_secs(1),
+        );
     }
 }
