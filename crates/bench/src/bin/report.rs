@@ -68,6 +68,7 @@ use spp_core::{
     CacheConfig, CacheStats, Event, EventSink, FormPortfolio, Grouping, Minimizer,
     MinimizeMode, Parallelism, Phase, RunCtx, SppCache,
 };
+use spp_obs::json::{self, Json};
 use spp_serve::loadgen::LoadgenConfig;
 use spp_serve::{ServeConfig, Server};
 
@@ -109,9 +110,9 @@ struct BenchEntry {
     /// configuration of the same output).
     delta_reuses: u64,
     delta_rejects: u64,
-    /// The row's four-form race, pre-rendered as a JSON object (shared by
-    /// every configuration of the same output).
-    forms: String,
+    /// The row's four-form race (shared by every configuration of the
+    /// same output).
+    forms: Json,
 }
 
 impl BenchEntry {
@@ -128,67 +129,54 @@ impl BenchEntry {
         }
     }
 
-    fn to_json(&self) -> String {
-        // All fields are numbers, bools or [A-Za-z0-9_()] names — no
-        // escaping needed.
-        format!(
-            "    {{\"name\": \"{}\", \"grouping\": \"{}\", \"threads\": {}, \"runs\": {}, \
-             \"wall_ms_min\": {:.3}, \"wall_ms_median\": {:.3}, \"gen_ms\": {:.3}, \
-             \"warm_wall_ms\": {}, \"cover_ms\": {:.3}, \
-             \"cover_nodes\": {}, \"cover_threads\": {}, \"comparisons\": {}, \"eppp\": {}, \
-             \"max_level\": {}, \"spp_literals\": {}, \"truncated\": {}, \"outcome\": \"{}\", \
-             \"delta_reuses\": {}, \"delta_rejects\": {}, \"forms\": {}}}",
-            self.name,
-            self.grouping,
-            self.threads,
-            self.wall_ms.len(),
-            self.wall_ms.iter().copied().fold(f64::INFINITY, f64::min),
-            self.wall_ms_median(),
+    fn to_json(&self) -> Json {
+        let wall_ms_min = self.wall_ms.iter().copied().fold(f64::INFINITY, f64::min);
+        Json::obj([
+            ("name", Json::from(self.name.as_str())),
+            ("grouping", Json::from(self.grouping)),
+            ("threads", Json::from(self.threads)),
+            ("runs", Json::from(self.wall_ms.len())),
+            ("wall_ms_min", json::ms(wall_ms_min)),
+            ("wall_ms_median", json::ms(self.wall_ms_median())),
             // The generation-phase wall time: these entries time EPPP
             // construction alone (covering is `cover_ms`), so the phase
             // split is the best observed generation wall.
-            self.wall_ms.iter().copied().fold(f64::INFINITY, f64::min),
-            self.warm_wall_ms.map_or_else(|| "null".to_owned(), |v| format!("{v:.3}")),
-            self.cover_ms,
-            self.cover_nodes,
-            self.cover_threads,
-            self.comparisons,
-            self.eppp,
-            self.max_level,
-            self.spp_literals,
-            self.truncated,
-            self.outcome,
-            self.delta_reuses,
-            self.delta_rejects,
-            self.forms
-        )
+            ("gen_ms", json::ms(wall_ms_min)),
+            ("warm_wall_ms", self.warm_wall_ms.map(json::ms).into()),
+            ("cover_ms", json::ms(self.cover_ms)),
+            ("cover_nodes", Json::from(self.cover_nodes)),
+            ("cover_threads", Json::from(self.cover_threads)),
+            ("comparisons", Json::from(self.comparisons)),
+            ("eppp", Json::from(self.eppp)),
+            ("max_level", Json::from(self.max_level)),
+            ("spp_literals", Json::from(self.spp_literals)),
+            ("truncated", Json::from(self.truncated)),
+            ("outcome", Json::from(self.outcome)),
+            ("delta_reuses", Json::from(self.delta_reuses)),
+            ("delta_rejects", Json::from(self.delta_rejects)),
+            ("forms", self.forms.clone()),
+        ])
     }
 }
 
 /// The row's four-form race as a JSON object: the winner and its literal
 /// cost, plus each entrant's outcome, cost and wall time. Costs are
 /// counter-like (deterministic); only `wall_ms` varies run to run.
-fn forms_json(f: &BoolFn, budget: Parallelism) -> String {
+fn forms_json(f: &BoolFn, budget: Parallelism) -> Json {
     let race = Minimizer::new(f).parallelism(budget).run_portfolio(&FormPortfolio::new());
-    let per: Vec<String> = race
-        .reports
-        .iter()
-        .map(|rep| {
-            format!(
-                "\"{}\": {{\"outcome\": \"{}\", \"cost\": {}, \"wall_ms\": {:.3}}}",
-                rep.form.as_str(),
-                rep.outcome.as_str(),
-                rep.cost.map_or_else(|| "null".to_owned(), |c| c.to_string()),
-                rep.wall.as_secs_f64() * 1e3
-            )
-        })
-        .collect();
-    format!(
-        "{{\"winner\": \"{}\", \"winner_cost\": {}, {}}}",
-        race.winner.as_str(),
-        race.cost,
-        per.join(", ")
-    )
+    let per = race.reports.iter().map(|rep| {
+        let fields = [
+            ("outcome", Json::from(rep.outcome.as_str())),
+            ("cost", Json::from(rep.cost)),
+            ("wall_ms", Json::from(rep.wall)),
+        ];
+        (rep.form.as_str(), Json::obj(fields))
+    });
+    let head = [
+        ("winner", Json::from(race.winner.as_str())),
+        ("winner_cost", Json::from(race.cost)),
+    ];
+    Json::obj(head.into_iter().chain(per))
 }
 
 /// Captures the node count of the final `CoverFinished` event, so the
@@ -335,7 +323,7 @@ fn incremental_probe(f: &BoolFn, mode: Mode, budget: Parallelism) -> Incremental
 /// daemon driven by the deterministic loadgen closed loop at 1024
 /// concurrent connections. Key reuse (`keys` distinct functions) gives
 /// the shared cache a realistic hit profile.
-fn server_section(full: bool) -> Result<String, Box<dyn std::error::Error>> {
+fn server_section(full: bool) -> Result<Json, Box<dyn std::error::Error>> {
     let server = Server::start(ServeConfig { queue_cap: 4096, ..ServeConfig::default() })?;
     let config = LoadgenConfig {
         concurrency: 1024,
@@ -466,38 +454,33 @@ fn emit_json(
             }
         }
     }
-    let body: Vec<String> = entries.iter().map(BenchEntry::to_json).collect();
     let cache_stats = cache.as_ref().map_or_else(CacheStats::default, |c| c.stats());
     let server = server_section(full)?;
-    let incremental_json = format!(
-        "{{\"cold_ms\": {:.3}, \"delta_ms\": {:.3}, \"speedup\": {:.1}, \
-         \"gen_cold_ms\": {:.3}, \"gen_delta_ms\": {:.3}, \"gen_speedup\": {:.1}, \
-         \"best_speedup\": {:.1}, \"delta_reuses\": {}, \"delta_rejects\": {}}}",
-        incremental.cold_ms,
-        incremental.delta_ms,
-        incremental.cold_ms / incremental.delta_ms.max(1e-6),
-        incremental.gen_cold_ms,
-        incremental.gen_delta_ms,
-        incremental.gen_cold_ms / incremental.gen_delta_ms.max(1e-6),
-        incremental.best_speedup,
-        incremental.delta_reuses,
-        incremental.delta_rejects
-    );
-    let json = format!(
-        "{{\n  \"schema\": \"spp-bench/8\",\n  \"profile\": \"{}\",\n  \
-         \"kernel_backend\": \"{}\",\n  \
-         \"resolved_threads\": {},\n  \"cache\": {},\n  \"incremental\": {},\n  \
-         \"server\": {},\n  \
-         \"entries\": [\n{}\n  ]\n}}\n",
-        if full { "full" } else { "fast" },
-        spp_kernels::active().name(),
-        resolved_threads,
-        cache_stats.to_json(),
-        incremental_json,
-        server,
-        body.join(",\n")
-    );
-    std::fs::write(out_path, json)?;
+    let incremental = Json::obj([
+        ("cold_ms", json::ms(incremental.cold_ms)),
+        ("delta_ms", json::ms(incremental.delta_ms)),
+        ("speedup", json::fixed(incremental.cold_ms / incremental.delta_ms.max(1e-6), 1)),
+        ("gen_cold_ms", json::ms(incremental.gen_cold_ms)),
+        ("gen_delta_ms", json::ms(incremental.gen_delta_ms)),
+        (
+            "gen_speedup",
+            json::fixed(incremental.gen_cold_ms / incremental.gen_delta_ms.max(1e-6), 1),
+        ),
+        ("best_speedup", json::fixed(incremental.best_speedup, 1)),
+        ("delta_reuses", Json::from(incremental.delta_reuses)),
+        ("delta_rejects", Json::from(incremental.delta_rejects)),
+    ]);
+    let json = Json::obj([
+        ("schema", Json::from("spp-bench/8")),
+        ("profile", Json::from(if full { "full" } else { "fast" })),
+        ("kernel_backend", Json::from(spp_kernels::active().name())),
+        ("resolved_threads", Json::from(resolved_threads)),
+        ("cache", cache_stats.to_json()),
+        ("incremental", incremental),
+        ("server", server),
+        ("entries", Json::Arr(entries.iter().map(BenchEntry::to_json).collect())),
+    ]);
+    std::fs::write(out_path, json.to_string() + "\n")?;
     eprintln!("wrote {out_path}");
     Ok(())
 }

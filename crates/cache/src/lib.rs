@@ -71,6 +71,7 @@ use std::sync::{Mutex, PoisonError};
 
 use spp_boolfn::BoolFn;
 use spp_gf2::Gf2Vec;
+use spp_obs::json::Json;
 use spp_obs::{Event, ResourceGovernor, RunCtx};
 
 pub use lock::{DirLock, LockMode};
@@ -96,6 +97,8 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
+    const ALL: [FsyncPolicy; 3] = [FsyncPolicy::Never, FsyncPolicy::Entry, FsyncPolicy::Full];
+
     /// The stable lower-snake identifier (`"never"`, `"entry"`, `"full"`).
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -109,12 +112,7 @@ impl FsyncPolicy {
     /// Parses the identifier produced by [`as_str`](Self::as_str).
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "never" => Some(FsyncPolicy::Never),
-            "entry" => Some(FsyncPolicy::Entry),
-            "full" => Some(FsyncPolicy::Full),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|v| v.as_str() == s)
     }
 }
 
@@ -494,29 +492,25 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// The snapshot as one JSON object, in the field style of the
-    /// `spp-bench/4` baseline (`report --json`).
+    /// The snapshot as one JSON object: the `cache` object of the serve
+    /// `stats`/`health` replies and of the `report --json` baseline.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"hits\": {}, \"misses\": {}, \"disk_hits\": {}, \"insertions\": {}, \
-             \"evictions\": {}, \"corrupt_skipped\": {}, \"quarantined\": {}, \
-             \"warm_starts\": {}, \
-             \"delta_reuses\": {}, \"delta_rejects\": {}, \
-             \"entries\": {}, \"bytes\": {}}}",
-            self.hits,
-            self.misses,
-            self.disk_hits,
-            self.insertions,
-            self.evictions,
-            self.corrupt_skipped,
-            self.quarantined,
-            self.warm_starts,
-            self.delta_reuses,
-            self.delta_rejects,
-            self.entries,
-            self.bytes
-        )
+    pub fn to_json(&self) -> Json {
+        let fields = [
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("disk_hits", self.disk_hits),
+            ("insertions", self.insertions),
+            ("evictions", self.evictions),
+            ("corrupt_skipped", self.corrupt_skipped),
+            ("quarantined", self.quarantined),
+            ("warm_starts", self.warm_starts),
+            ("delta_reuses", self.delta_reuses),
+            ("delta_rejects", self.delta_rejects),
+            ("entries", self.entries),
+            ("bytes", self.bytes),
+        ];
+        Json::obj(fields.map(|(k, v)| (k, Json::from(v))))
     }
 }
 
@@ -1256,12 +1250,12 @@ mod tests {
 
     #[test]
     fn stats_json_has_every_gated_field() {
-        let json = CacheStats::default().to_json();
+        let json = Json::parse(&CacheStats::default().to_json().to_string()).unwrap();
         for field in [
             "hits", "misses", "disk_hits", "insertions", "evictions", "corrupt_skipped",
             "warm_starts", "entries", "bytes",
         ] {
-            assert!(json.contains(&format!("\"{field}\": ")), "missing {field} in {json}");
+            assert!(json.get(field).is_some(), "missing {field} in {json}");
         }
         assert!(CacheStats::default().to_string().contains("0 hits"));
     }

@@ -57,6 +57,8 @@ pub enum Objective {
 }
 
 impl Objective {
+    const ALL: [Objective; 2] = [Objective::Literals, Objective::Gates];
+
     /// The wire name (`literals` / `gates`).
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -69,11 +71,7 @@ impl Objective {
     /// Parses a wire name; `None` for anything else.
     #[must_use]
     pub fn parse(s: &str) -> Option<Objective> {
-        match s {
-            "literals" => Some(Objective::Literals),
-            "gates" => Some(Objective::Gates),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|v| v.as_str() == s)
     }
 }
 

@@ -93,6 +93,8 @@ pub enum Priority {
 }
 
 impl Priority {
+    const ALL: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
+
     /// The wire identifier (`"high"`, `"normal"`, `"low"`).
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -106,12 +108,7 @@ impl Priority {
     /// Parses the identifier produced by [`Priority::as_str`].
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "high" => Some(Priority::High),
-            "normal" => Some(Priority::Normal),
-            "low" => Some(Priority::Low),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|v| v.as_str() == s)
     }
 
     /// The scheduler lane index (0 = high, 1 = normal, 2 = low).
@@ -149,6 +146,17 @@ pub enum WireErrorKind {
 }
 
 impl WireErrorKind {
+    const ALL: [WireErrorKind; 8] = [
+        WireErrorKind::BadFrame,
+        WireErrorKind::BadRequest,
+        WireErrorKind::UnsupportedVersion,
+        WireErrorKind::Parse,
+        WireErrorKind::Overloaded,
+        WireErrorKind::ShuttingDown,
+        WireErrorKind::Timeout,
+        WireErrorKind::Internal,
+    ];
+
     /// The wire identifier (`"bad_frame"`, `"bad_request"`, …).
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -167,17 +175,7 @@ impl WireErrorKind {
     /// Parses the identifier produced by [`WireErrorKind::as_str`].
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "bad_frame" => Some(WireErrorKind::BadFrame),
-            "bad_request" => Some(WireErrorKind::BadRequest),
-            "unsupported_version" => Some(WireErrorKind::UnsupportedVersion),
-            "parse" => Some(WireErrorKind::Parse),
-            "overloaded" => Some(WireErrorKind::Overloaded),
-            "shutting_down" => Some(WireErrorKind::ShuttingDown),
-            "timeout" => Some(WireErrorKind::Timeout),
-            "internal" => Some(WireErrorKind::Internal),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|v| v.as_str() == s)
     }
 }
 
@@ -269,12 +267,9 @@ fn grouping_str(g: Grouping) -> &'static str {
 }
 
 fn parse_grouping(s: &str) -> Option<Grouping> {
-    match s {
-        "partition_trie" => Some(Grouping::PartitionTrie),
-        "hash_map" => Some(Grouping::HashMap),
-        "quadratic" => Some(Grouping::Quadratic),
-        _ => None,
-    }
+    [Grouping::PartitionTrie, Grouping::HashMap, Grouping::Quadratic]
+        .into_iter()
+        .find(|&g| grouping_str(g) == s)
 }
 
 /// A complete minimization request: the function, the algorithm and the
@@ -729,17 +724,14 @@ impl MinimizeResponse {
                     if let Some(cost) = r.cost {
                         entry.push(("cost".into(), Json::from(cost)));
                     }
-                    entry.push((
-                        "wall_ms".into(),
-                        Json::from(r.wall.as_secs_f64() * 1e3),
-                    ));
+                    entry.push(("wall_ms".into(), Json::from(r.wall)));
                     entry.push(("accepted".into(), Json::from(r.accepted)));
                     Json::Obj(entry)
                 })
                 .collect();
             fields.push(("forms".into(), Json::Arr(entries)));
         }
-        fields.push(("wall_ms".into(), Json::from(self.wall.as_secs_f64() * 1e3)));
+        fields.push(("wall_ms".into(), Json::from(self.wall)));
         Json::Obj(fields).to_string()
     }
 
@@ -1178,7 +1170,9 @@ pub fn execute_fns(
             shared_terms: shared_counts.map(|(_, terms)| terms),
             winner,
             forms: form_reports,
-            wall: start.elapsed(),
+            // Whole microseconds, the resolution `wall_ms` carries on the
+            // wire, so a decoded response equals the one sent.
+            wall: Duration::from_micros(start.elapsed().as_micros() as u64),
         },
         forms,
         realizations,
@@ -1258,6 +1252,40 @@ mod tests {
         ] {
             assert_eq!(WireErrorKind::parse(kind.as_str()), Some(kind));
         }
+    }
+
+    /// Each wire enum's names are written once (`as_str`); `parse` finds
+    /// every variant by its name and nothing else.
+    #[test]
+    fn wire_names_round_trip() {
+        use crate::FsyncPolicy;
+
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(
+            all: &[T],
+            name: fn(T) -> &'static str,
+            parse: fn(&str) -> Option<T>,
+        ) {
+            for &v in all {
+                assert_eq!(parse(name(v)), Some(v));
+            }
+            assert_eq!(parse("nonsense"), None);
+        }
+        check(
+            &[Priority::High, Priority::Normal, Priority::Low],
+            Priority::as_str,
+            Priority::parse,
+        );
+        check(&[Objective::Literals, Objective::Gates], Objective::as_str, Objective::parse);
+        check(
+            &[FsyncPolicy::Never, FsyncPolicy::Entry, FsyncPolicy::Full],
+            FsyncPolicy::as_str,
+            FsyncPolicy::parse,
+        );
+        check(
+            &[Grouping::PartitionTrie, Grouping::HashMap, Grouping::Quadratic],
+            grouping_str,
+            parse_grouping,
+        );
     }
 
     #[test]

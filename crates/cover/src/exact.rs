@@ -793,40 +793,6 @@ mod tests {
         assert_eq!(outcome, Outcome::MemoryExceeded);
     }
 
-    /// The one failpoint-registry test of this binary (the registry is
-    /// process-global): an injected subtree panic at any thread count
-    /// keeps the warm-start incumbent, records the fault and never
-    /// escapes `solve_exact_ctx`.
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn injected_subtree_panic_keeps_the_incumbent() {
-        use spp_obs::failpoints::{self, FailAction};
-
-        let mut p = CoverProblem::new(8);
-        for i in 0..8 {
-            for j in (i + 1)..8 {
-                p.add_column(&[i, j], 2);
-            }
-        }
-        let greedy = crate::solve_greedy(&p);
-        for threads in [1usize, 2, 4] {
-            failpoints::clear_all();
-            failpoints::set("cover.subtree", FailAction::Panic("injected".to_owned()));
-            let ctx = RunCtx::new();
-            let limits = Limits::default().with_parallelism(crate::Parallelism::fixed(threads));
-            let (sol, outcome) = solve_exact_ctx(&p, &limits, Some(&greedy), &ctx);
-            assert!(p.is_cover(&sol.columns), "threads={threads}");
-            assert!(sol.cost <= greedy.cost, "threads={threads}");
-            assert!(!sol.optimal, "threads={threads}");
-            assert_eq!(outcome, Outcome::Completed, "threads={threads}");
-            let faults = ctx.faults();
-            assert!(!faults.is_empty(), "threads={threads}");
-            assert!(faults.iter().all(|f| f.site == "cover.subtree"), "threads={threads}");
-            assert!(faults[0].message.contains("injected"), "threads={threads}");
-        }
-        failpoints::clear_all();
-    }
-
     #[test]
     fn parallel_cancel_unwinds_to_a_verified_incumbent() {
         use spp_obs::CancelToken;

@@ -1,11 +1,12 @@
 //! A minimal JSON value, parser and writer.
 //!
-//! The workspace deliberately carries no serde: every JSON producer so
-//! far ([`crate::Event::to_json`], the bench report, cache stats) writes
-//! strings by hand. The serve wire protocol is the first *consumer* of
-//! JSON, so this module adds the missing half — a small recursive-descent
-//! parser over a [`Json`] value tree — plus a writer so request/response
-//! types can round-trip through one representation.
+//! The workspace deliberately carries no serde. Every JSON text the
+//! workspace writes — events, wire frames, cache and server stats, the
+//! bench baseline — is built as a [`Json`] value and printed by its one
+//! writer, which is also the only code that escapes strings; the wire
+//! protocol reads frames back with the small recursive-descent parser
+//! below. Every `*_ms` field is written through [`ms`], so one function
+//! decides how a time reads.
 //!
 //! The parser is strict where it matters for a network-facing daemon:
 //! input depth is capped (a 10-byte `[[[[[…` frame cannot blow the
@@ -24,6 +25,7 @@
 //! ```
 
 use std::fmt;
+use std::time::Duration;
 
 /// Maximum nesting depth the parser accepts. Deep enough for any schema
 /// in this workspace, shallow enough that adversarial input cannot
@@ -82,6 +84,12 @@ impl Json {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
+    }
+
+    /// An object from `(key, value)` pairs, in order.
+    #[must_use]
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 
     /// Object field lookup (first match); `None` for non-objects.
@@ -148,78 +156,84 @@ impl Json {
             _ => None,
         }
     }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                // Integers print without a fractional part so schema
-                // fields like counters stay `u64`-shaped on the wire.
-                if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&escape(k));
-                    out.push_str("\":");
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
 }
 
 impl fmt::Display for Json {
-    /// Compact serialization (no whitespace), matching the hand-rolled
-    /// style of [`crate::Event::to_json`].
+    /// Compact serialization (no whitespace).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            // Integers print without a fractional part so schema fields
+            // like counters stay `u64`-shaped on the wire.
+            Json::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => {
+                write!(f, "{}", *n as i64)
+            }
+            Json::Num(n) => write!(f, "{n}"),
+            Json::Str(s) => write_string(f, s),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    item.fmt(f)?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(fields) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write_string(f, k)?;
+                    f.write_str(":")?;
+                    v.fmt(f)?;
+                }
+                f.write_str("}")
+            }
+        }
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
+/// `x` rounded to `places` decimal places.
 #[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+pub fn fixed(x: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::Num((x * scale).round() / scale)
+}
+
+/// A time in milliseconds, rounded to the microsecond: the number format
+/// of every `*_ms` field.
+#[must_use]
+pub fn ms(millis: f64) -> Json {
+    fixed(millis, 3)
+}
+
+/// Writes `s` as a JSON string literal: the only code that escapes.
+/// Unescaped runs are written as whole slices.
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // `b` is ASCII, so `i` and `i + 1` are char boundaries.
+        f.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
         }
     }
-    out
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
 }
 
 struct Parser<'a> {
@@ -485,6 +499,20 @@ impl From<f64> for Json {
     }
 }
 
+impl From<Duration> for Json {
+    /// A duration as a `*_ms` number (see [`ms`]).
+    fn from(d: Duration) -> Json {
+        ms(d.as_secs_f64() * 1e3)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    /// `None` is `null`.
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,6 +527,15 @@ mod tests {
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
         assert_eq!(Json::Num(42.0).to_string(), "42");
         assert_eq!(Json::Num(0.5).to_string(), "0.5");
+    }
+
+    #[test]
+    fn times_round_to_the_microsecond() {
+        assert_eq!(ms(2.0).to_string(), "2");
+        assert_eq!(ms(1.234_56).to_string(), "1.235");
+        assert_eq!(Json::from(Duration::from_nanos(1_500_400)).to_string(), "1.5");
+        assert_eq!(fixed(0.123_456, 4).to_string(), "0.1235");
+        assert_eq!(Json::from(None::<u64>), Json::Null);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use spp_core::{ErrorFrame, MinimizeMode, MinimizeRequest, MinimizeResponse, Priority};
-use spp_obs::json::Json;
+use spp_obs::json::{self, Json};
 
 use crate::protocol::{read_frame, write_frame, FrameError};
 
@@ -138,30 +138,22 @@ impl LoadgenReport {
     /// The report as one JSON object (the shape embedded by
     /// `report --json` under `"server"`).
     #[must_use]
-    pub fn to_json(&self, concurrency: usize) -> String {
-        let hit_rate = match self.cache_hit_rate {
-            Some(rate) => format!("{rate:.4}"),
-            None => "null".to_owned(),
-        };
-        format!(
-            "{{\"requests\": {}, \"concurrency\": {}, \"completed\": {}, \"errors\": {}, \
-             \"timeouts\": {}, \"retries\": {}, \
-             \"degraded\": {}, \"verified\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"max_ms\": {:.3}, \"throughput_rps\": {:.1}, \"cache_hit_rate\": {}}}",
-            self.sent,
-            concurrency,
-            self.completed,
-            self.errors,
-            self.timeouts,
-            self.retries,
-            self.degraded,
-            self.verified,
-            self.p50_ms,
-            self.p99_ms,
-            self.max_ms,
-            self.throughput_rps,
-            hit_rate,
-        )
+    pub fn to_json(&self, concurrency: usize) -> Json {
+        Json::obj([
+            ("requests", Json::from(self.sent)),
+            ("concurrency", Json::from(concurrency)),
+            ("completed", Json::from(self.completed)),
+            ("errors", Json::from(self.errors)),
+            ("timeouts", Json::from(self.timeouts)),
+            ("retries", Json::from(self.retries)),
+            ("degraded", Json::from(self.degraded)),
+            ("verified", Json::from(self.verified)),
+            ("p50_ms", json::ms(self.p50_ms)),
+            ("p99_ms", json::ms(self.p99_ms)),
+            ("max_ms", json::ms(self.max_ms)),
+            ("throughput_rps", json::fixed(self.throughput_rps, 1)),
+            ("cache_hit_rate", self.cache_hit_rate.map(|rate| json::fixed(rate, 4)).into()),
+        ])
     }
 }
 
@@ -691,7 +683,7 @@ mod tests {
     #[test]
     fn report_json_has_the_bench_schema_fields() {
         let report = LoadgenReport { sent: 10, completed: 10, ..LoadgenReport::default() };
-        let json = report.to_json(4);
+        let json = report.to_json(4).to_string();
         for field in [
             "\"requests\"",
             "\"concurrency\"",

@@ -23,7 +23,7 @@ use spp_core::{
     MinimizeMode, MinimizeRequest, NullSink, RunCtx, SppCache, WireErrorKind, SCHEMA_VERSION,
 };
 use spp_obs::config::resolve_knob;
-use spp_obs::json::Json;
+use spp_obs::json::{self, Json};
 
 use crate::protocol::{read_frame_deadline, write_frame, FrameError};
 use crate::scheduler::{AdmitError, Scheduler};
@@ -332,47 +332,46 @@ fn start_drain(shared: &Shared) {
 }
 
 /// Heartbeat ages in ms (now − last stamp), one per worker.
-fn heartbeat_ages(shared: &Shared) -> String {
+fn heartbeat_ages(shared: &Shared) -> Json {
     let now_ms = shared.started_at.elapsed().as_millis() as u64;
-    let ages: Vec<String> = shared
-        .workers
-        .iter()
-        .map(|w| now_ms.saturating_sub(w.heartbeat_ms.load(Ordering::Relaxed)).to_string())
-        .collect();
-    format!("[{}]", ages.join(","))
+    let age = |w: &WorkerSlot| now_ms.saturating_sub(w.heartbeat_ms.load(Ordering::Relaxed));
+    Json::Arr(shared.workers.iter().map(|w| json::ms(age(w) as f64)).collect())
 }
 
-fn lanes_json(shared: &Shared) -> String {
-    let [high, normal, low] = shared.scheduler.lane_depths();
-    format!("[{high},{normal},{low}]")
+fn lanes_json(shared: &Shared) -> Json {
+    Json::Arr(shared.scheduler.lane_depths().into_iter().map(Json::from).collect())
+}
+
+fn cache_json(shared: &Shared) -> Json {
+    shared.cache.as_ref().map(|cache| cache.stats().to_json()).into()
+}
+
+/// A control reply: `op` and the schema version, then `fields`.
+fn control_json<'a>(op: &str, fields: impl IntoIterator<Item = (&'a str, Json)>) -> String {
+    let head = [("op", Json::from(op)), ("v", Json::from(SCHEMA_VERSION))];
+    Json::obj(head.into_iter().chain(fields)).to_string()
 }
 
 fn stats_json(shared: &Shared) -> String {
-    let cache = match &shared.cache {
-        Some(cache) => cache.stats().to_json(),
-        None => "null".to_owned(),
-    };
-    format!(
-        "{{\"op\":\"stats\",\"v\":{},\"workers\":{},\"queue_cap\":{},\"queued\":{},\
-         \"in_flight\":{},\"accepted\":{},\"completed\":{},\"rejected\":{},\
-         \"draining\":{},\"lanes\":{},\"uptime_ms\":{},\"heartbeat_ms\":{},\
-         \"restarts\":{},\"requeues\":{},\"timeouts\":{},\"cache\":{}}}",
-        SCHEMA_VERSION,
-        shared.config.workers,
-        shared.config.queue_cap,
-        shared.scheduler.queued(),
-        shared.scheduler.in_flight(),
-        shared.counters.accepted.load(Ordering::Relaxed),
-        shared.counters.completed.load(Ordering::Relaxed),
-        shared.counters.rejected.load(Ordering::Relaxed),
-        shared.scheduler.is_draining(),
-        lanes_json(shared),
-        shared.started_at.elapsed().as_millis(),
-        heartbeat_ages(shared),
-        shared.counters.restarts.load(Ordering::Relaxed),
-        shared.counters.requeues.load(Ordering::Relaxed),
-        shared.counters.timeouts.load(Ordering::Relaxed),
-        cache,
+    control_json(
+        "stats",
+        [
+            ("workers", Json::from(shared.config.workers)),
+            ("queue_cap", Json::from(shared.config.queue_cap)),
+            ("queued", Json::from(shared.scheduler.queued())),
+            ("in_flight", Json::from(shared.scheduler.in_flight())),
+            ("accepted", Json::from(shared.counters.accepted.load(Ordering::Relaxed))),
+            ("completed", Json::from(shared.counters.completed.load(Ordering::Relaxed))),
+            ("rejected", Json::from(shared.counters.rejected.load(Ordering::Relaxed))),
+            ("draining", Json::from(shared.scheduler.is_draining())),
+            ("lanes", lanes_json(shared)),
+            ("uptime_ms", Json::from(shared.started_at.elapsed())),
+            ("heartbeat_ms", heartbeat_ages(shared)),
+            ("restarts", Json::from(shared.counters.restarts.load(Ordering::Relaxed))),
+            ("requeues", Json::from(shared.counters.requeues.load(Ordering::Relaxed))),
+            ("timeouts", Json::from(shared.counters.timeouts.load(Ordering::Relaxed))),
+            ("cache", cache_json(shared)),
+        ],
     )
 }
 
@@ -382,32 +381,26 @@ fn stats_json(shared: &Shared) -> String {
 fn health_json(shared: &Shared) -> String {
     let workers = shared.workers.len();
     let alive = shared.workers.iter().filter(|w| w.alive.load(Ordering::Relaxed)).count();
-    let draining = shared.scheduler.is_draining();
-    let status = if draining {
+    let status = if shared.scheduler.is_draining() {
         "draining"
     } else if alive < workers {
         "degraded"
     } else {
         "ok"
     };
-    let cache = match &shared.cache {
-        Some(cache) => cache.stats().to_json(),
-        None => "null".to_owned(),
-    };
-    format!(
-        "{{\"op\":\"health\",\"v\":{},\"status\":\"{}\",\"workers\":{},\"alive\":{},\
-         \"uptime_ms\":{},\"lanes\":{},\"queued\":{},\"in_flight\":{},\
-         \"heartbeat_ms\":{},\"cache\":{}}}",
-        SCHEMA_VERSION,
-        status,
-        workers,
-        alive,
-        shared.started_at.elapsed().as_millis(),
-        lanes_json(shared),
-        shared.scheduler.queued(),
-        shared.scheduler.in_flight(),
-        heartbeat_ages(shared),
-        cache,
+    control_json(
+        "health",
+        [
+            ("status", Json::from(status)),
+            ("workers", Json::from(workers)),
+            ("alive", Json::from(alive)),
+            ("uptime_ms", Json::from(shared.started_at.elapsed())),
+            ("lanes", lanes_json(shared)),
+            ("queued", Json::from(shared.scheduler.queued())),
+            ("in_flight", Json::from(shared.scheduler.in_flight())),
+            ("heartbeat_ms", heartbeat_ages(shared)),
+            ("cache", cache_json(shared)),
+        ],
     )
 }
 
@@ -560,12 +553,12 @@ fn handle_frame(
     if let Ok(json) = Json::parse(text) {
         if let Some(op) = json.get("op").and_then(Json::as_str) {
             match op {
-                "ping" => send(writer, &format!("{{\"op\":\"pong\",\"v\":{SCHEMA_VERSION}}}")),
+                "ping" => send(writer, &control_json("pong", [])),
                 "stats" => send(writer, &stats_json(shared)),
                 "health" => send(writer, &health_json(shared)),
                 "shutdown" => {
                     start_drain(shared);
-                    send(writer, &format!("{{\"op\":\"draining\",\"v\":{SCHEMA_VERSION}}}"));
+                    send(writer, &control_json("draining", []));
                 }
                 other => send(
                     writer,

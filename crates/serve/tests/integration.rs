@@ -10,6 +10,7 @@ use std::time::Duration;
 use spp_core::{
     execute, ErrorFrame, ExecEnv, MinimizeMode, MinimizeRequest, MinimizeResponse,
 };
+use spp_obs::json::Json;
 use spp_serve::loadgen::{run, workload_pla, workload_request, LoadgenConfig};
 use spp_serve::protocol::{read_frame, write_frame};
 use spp_serve::{ServeConfig, Server};
@@ -202,14 +203,12 @@ fn edit_streams_reuse_cached_generation_deltas() {
     assert_eq!(report.verified, report.completed, "every response must verify");
     let mut conn = connect(&server);
     let stats = roundtrip(&mut conn, "{\"op\":\"stats\"}");
-    let needle = "\"delta_reuses\": ";
-    let at = stats.find(needle).expect("cache stats must report delta reuses") + needle.len();
-    let reuses: u64 = stats[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("numeric delta_reuses");
+    let reuses = Json::parse(&stats)
+        .expect("stats reply is JSON")
+        .get("cache")
+        .and_then(|cache| cache.get("delta_reuses"))
+        .and_then(Json::as_u64)
+        .expect("cache stats must report delta reuses");
     assert!(reuses > 0, "the edit stream must splice at least once: {stats}");
     server.stop();
 }

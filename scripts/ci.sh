@@ -10,8 +10,8 @@
 # with warnings denied, a compile check of the feature-gated Criterion
 # bench targets, CLI smokes of the deadline- and memory-degradation
 # paths, of a padded 16-input function answering on its support
-# within its deadline and of the typed input limit of a wide portfolio
-# race, a --cache-dir round-trip smoke, a two-process shared --cache-dir
+# within its deadline, of a closed stdout (no panic) and of the typed
+# input limit of a wide portfolio race, a --cache-dir round-trip smoke, a two-process shared --cache-dir
 # smoke (concurrent writers, bit-identical answers), a serve smoke
 # (daemon up, spp-loadgen drive, SIGINT drain), jq gates on the
 # spp-bench/8 baseline including its kernel_backend, cache-stats,
@@ -80,6 +80,13 @@ if grep -q "deadline_exceeded" /tmp/spp-ci-padded.out; then
   echo "padded a⊕bc hit its deadline"; exit 1
 fi
 rm -f /tmp/spp-ci-padded.pla /tmp/spp-ci-padded.out
+
+echo "==> CLI broken-pipe smoke (a reader that goes away must not make spp panic)"
+./target/release/spp list 2>/tmp/spp-ci-pipe.err | head -1 >/dev/null
+if grep -q "panicked" /tmp/spp-ci-pipe.err; then
+  cat /tmp/spp-ci-pipe.err; exit 1
+fi
+rm -f /tmp/spp-ci-pipe.err
 
 echo "==> CLI wide-portfolio smoke (a 25-input race must exit 1 with the typed limit, not panic)"
 printf '.i 25\n.o 1\n%s 1\n.e\n' "$(printf '0%.0s' $(seq 25))" >/tmp/spp-ci-wide.pla

@@ -72,6 +72,8 @@
 //!   --quiet            only print the summary line
 //! ```
 
+use std::fmt;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -85,6 +87,26 @@ use spp::core::{
 use spp::netlist::Netlist;
 use spp::serve::{ServeConfig, Server};
 use spp::{execute_fns, ExecEnv, MinimizeMode, MinimizeRequest};
+
+/// Writes to stdout. A reader that went away (`spp list | head -1`)
+/// ends the run quietly with status 0; any other write error exits 1.
+fn write_stdout(args: fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("spp: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`write_stdout`]; stdout is line-buffered, so each
+/// line is flushed as it is written.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// What `--form` selected: the default SPP pipeline, a single-form run
 /// through the portfolio driver, or the full four-form race.
@@ -266,7 +288,7 @@ fn main() -> ExitCode {
         "list" => {
             for name in spp::benchgen::registry::ALL_NAMES {
                 let c = spp::benchgen::registry::circuit(name).expect("registered");
-                println!("{c} — {}", c.description());
+                outln!("{c} — {}", c.description());
             }
             ExitCode::SUCCESS
         }
@@ -371,7 +393,7 @@ fn serve(options: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("spp serve: listening on {}", server.local_addr());
+    outln!("spp serve: listening on {}", server.local_addr());
     let shutdown = spp::serve::shutdown_flag();
     while !shutdown.load(Ordering::Relaxed) && !server.is_draining() {
         std::thread::sleep(Duration::from_millis(50));
@@ -522,7 +544,7 @@ fn run(outputs: &[BoolFn], labels: &[String], options: &Options) -> ExitCode {
     if let (Some(shared_terms), Some(shared_literals)) =
         (resp.shared_terms, resp.shared_literals)
     {
-        println!(
+        outln!(
             "multi-output SPP: {shared_terms} shared pseudoproducts, \
              {shared_literals} shared literals ({} counted per output){}",
             resp.total_literals(),
@@ -547,7 +569,7 @@ fn run(outputs: &[BoolFn], labels: &[String], options: &Options) -> ExitCode {
             MinimizeMode::Portfolio => "portfolio",
         };
         for report in &resp.outputs {
-            println!(
+            outln!(
                 "{}: {tag} {} literals, {} terms{}",
                 report.label,
                 report.literals,
@@ -555,18 +577,18 @@ fn run(outputs: &[BoolFn], labels: &[String], options: &Options) -> ExitCode {
                 status_suffix(resp.outcome, resp.optimal)
             );
             if !options.quiet {
-                println!("  {}", report.form);
+                outln!("  {}", report.form);
             }
         }
     }
     // The portfolio scoreboard: one line per entrant, winner first.
     if let (Some(winner), Some(reports)) = (resp.winner, resp.forms.as_deref()) {
-        println!("portfolio winner: {winner} (by {})", req.objective);
+        outln!("portfolio winner: {winner} (by {})", req.objective);
         for report in reports {
             let cost = report
                 .cost
                 .map_or_else(|| "unverified".to_owned(), |c| c.to_string());
-            println!(
+            outln!(
                 "  {:<4} {}: cost {cost}, {:.1} ms{}",
                 report.form.as_str(),
                 report.outcome.as_str(),
@@ -577,18 +599,18 @@ fn run(outputs: &[BoolFn], labels: &[String], options: &Options) -> ExitCode {
     }
 
     if let Some(cache) = &env.cache {
-        println!("cache: {}", cache.stats());
+        outln!("cache: {}", cache.stats());
     }
 
     let net = Netlist::from_realizations(&executed.realizations);
     if !options.quiet {
-        println!("{net}");
+        outln!("{net}");
     }
     if let Some(module) = &options.verilog {
-        print!("{}", net.to_verilog(module));
+        write_stdout(format_args!("{}", net.to_verilog(module)));
     }
     if let Some(model) = &options.blif {
-        print!("{}", net.to_blif(model));
+        write_stdout(format_args!("{}", net.to_blif(model)));
     }
     ExitCode::SUCCESS
 }

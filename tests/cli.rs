@@ -1,6 +1,6 @@
 //! End-to-end tests of the `spp` command-line binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn spp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_spp"))
@@ -230,4 +230,25 @@ fn multi_flag_reports_sharing() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("multi-output SPP"), "{text}");
     assert!(text.contains("shared literals"), "{text}");
+}
+
+/// A reader that went away (`spp list | head -1`) ends the run quietly:
+/// here stdout is a pipe whose read end is closed before `spp` starts.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let path = write_pla("xor-closed-stdout", ".i 2\n.o 1\n01 1\n10 1\n.e\n");
+    for args in [vec!["list".into()], vec!["minimize".into(), path.into_os_string()]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = spp()
+            .args(&args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {err}");
+        assert!(out.status.success(), "{args:?}: {:?} {err}", out.status);
+    }
 }
